@@ -31,6 +31,7 @@
 #include <string>
 
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "core/caqp_cache.h"
 
 using namespace erq;
@@ -105,7 +106,7 @@ Workload& GetWorkload(size_t n, bool indexed, Kind kind, size_t shards) {
                                            /*enable_signatures=*/true,
                                            indexed, shards);
     for (size_t r = 0; r < w->relations; ++r) {
-      std::string rel = "r" + std::to_string(r);
+      std::string rel = StrCat({"r", std::to_string(r)});
       for (size_t v = 0; v < kPartsPerRelation; ++v) {
         w->cache->Insert(Point(rel, static_cast<int64_t>(v)));
       }
@@ -113,7 +114,8 @@ Workload& GetWorkload(size_t n, bool indexed, Kind kind, size_t shards) {
     w->hit_probes.reserve(kPoolSize);
     w->miss_probes.reserve(kPoolSize);
     for (size_t i = 0; i < kPoolSize; ++i) {
-      std::string rel = "r" + std::to_string(i * w->relations / kPoolSize);
+      std::string rel =
+          StrCat({"r", std::to_string(i * w->relations / kPoolSize)});
       w->hit_probes.push_back(
           Point(rel, static_cast<int64_t>(i % kPartsPerRelation)));
       w->miss_probes.push_back(

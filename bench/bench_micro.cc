@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "common/string_util.h"
 #include "expr/expr_builder.h"
 
 using namespace erq;
@@ -33,10 +34,10 @@ void BM_ConjunctionCovers(benchmark::State& state) {
   std::vector<PrimitiveTerm> p_terms, q_terms;
   for (int i = 0; i < terms; ++i) {
     p_terms.push_back(PrimitiveTerm::MakeInterval(
-        ColumnId::Make("t", "c" + std::to_string(i)),
+        ColumnId::Make("t", StrCat({"c", std::to_string(i)})),
         ValueInterval::Range(Value::Int(0), true, Value::Int(100), true)));
     q_terms.push_back(PrimitiveTerm::MakeInterval(
-        ColumnId::Make("t", "c" + std::to_string(i)),
+        ColumnId::Make("t", StrCat({"c", std::to_string(i)})),
         ValueInterval::Point(Value::Int(50))));
   }
   Conjunction p = Conjunction::Make(std::move(p_terms));

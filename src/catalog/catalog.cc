@@ -99,9 +99,7 @@ SortedIndex* Catalog::FindIndex(const std::string& table_name,
 Status Catalog::AppendRows(const std::string& table_name,
                            std::vector<Row> rows) {
   ERQ_ASSIGN_OR_RETURN(Table * table, GetTable(table_name));
-  for (const Row& row : rows) {
-    ERQ_RETURN_IF_ERROR(table->Append(row));
-  }
+  ERQ_RETURN_IF_ERROR(table->AppendAll(rows));
   TableUpdateEvent event;
   event.kind = TableUpdateEvent::Kind::kInsert;
   event.table_name = table->name();

@@ -90,7 +90,7 @@ class Catalog {
   }
 
   /// Notifies listeners about an out-of-band mutation to `table_name`
-  /// (callers that append via Table::Append directly should call this).
+  /// (callers that append via Table::AppendAll directly should call this).
   void NotifyUpdate(const std::string& table_name);
 
  private:

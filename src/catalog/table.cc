@@ -4,7 +4,21 @@
 
 namespace erq {
 
-Status Table::Append(Row row) {
+Status Table::AppendAll(const std::vector<Row>& rows) {
+  for (const Row& row : rows) ERQ_RETURN_IF_ERROR(Validate(row));
+  MutexLock lock(&mu_);
+  for (const Row& row : rows) {
+    rows_.push_back(row);
+    if (scheme_.partitioned()) {
+      ObserveRowLocked(rows_.size() - 1, rows_.back());
+    }
+  }
+  if (scheme_.partitioned()) snapshot_stale_ = true;
+  version_.fetch_add(1, std::memory_order_release);
+  return Status::OK();
+}
+
+Status Table::Validate(const Row& row) const {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.size()) + " does not match schema '" +
@@ -19,7 +33,6 @@ Status Table::Append(Row row) {
           DataTypeToString(schema_.column(i).type));
     }
   }
-  AppendUnchecked(std::move(row));
   return Status::OK();
 }
 

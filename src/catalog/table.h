@@ -50,9 +50,11 @@ class Table {
   /// All live rows (caller-synchronized against mutation).
   const std::vector<Row>& rows() const { return rows_; }
 
-  /// Appends one row; the row must match the schema arity and each value's
-  /// type must equal the column type (or be NULL).
-  Status Append(Row row);
+  /// Appends all of `rows` or none. Each row must match the schema arity,
+  /// and each value's type must equal the column type (or be NULL); every
+  /// row is checked before any is added, then they are added under one
+  /// lock with one version bump.
+  Status AppendAll(const std::vector<Row>& rows);
 
   /// Appends without validation; used by bulk loaders that generate
   /// known-good rows.
@@ -96,6 +98,8 @@ class Table {
   std::shared_ptr<const PartitionSnapshot> partition_snapshot() const;
 
  private:
+  /// Checks `row` against the schema: arity, and each non-NULL value's type.
+  Status Validate(const Row& row) const;
   /// Recomputes all partition state from rows_ under the current scheme.
   void RebuildPartitionsLocked() ERQ_REQUIRES(mu_);
   /// Folds one appended row into the working partition state.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,11 @@ std::string ToUpper(std::string_view s);
 
 /// Joins `parts` with `sep` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
+
+/// Concatenates `parts` into one string, sized once. Preferred over
+/// chains of `"(" + str + ...`, which GCC 12 at -O3 misreports as
+/// overlapping copies (-Wrestrict).
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 /// Splits `s` on the single character `sep`; empty fields are preserved.
 std::vector<std::string> Split(std::string_view s, char sep);

@@ -33,7 +33,9 @@ size_t RelationSet::Hash() const {
   return seed;
 }
 
-std::string RelationSet::ToString() const { return "{" + Key() + "}"; }
+std::string RelationSet::ToString() const {
+  return StrCat({"{", Key(), "}"});
+}
 
 namespace {
 

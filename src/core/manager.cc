@@ -250,17 +250,16 @@ Status EmptyResultManager::PrepareInto(const Statement& stmt,
   }
   QueryOutcome& outcome = prep->outcome;
   {
-    ScopedSpan span(metrics_.stage_plan, &outcome.timings.plan_seconds);
+    ScopedSpan span(nullptr, &outcome.timings.plan_seconds);
     ERQ_ASSIGN_OR_RETURN(prep->planned, planner_.PlanStatement(stmt));
   }
   {
-    ScopedSpan span(metrics_.stage_optimize,
-                    &outcome.timings.optimize_seconds);
+    ScopedSpan span(nullptr, &outcome.timings.optimize_seconds);
     ERQ_ASSIGN_OR_RETURN(prep->physical, optimizer_.Optimize(prep->planned.root));
   }
   outcome.estimated_cost = prep->physical->estimated_cost;
   {
-    ScopedSpan span(metrics_.stage_gate, &outcome.timings.gate_seconds);
+    ScopedSpan span(nullptr, &outcome.timings.gate_seconds);
     outcome.high_cost = outcome.estimated_cost > EffectiveCostThreshold();
   }
   if (!outcome.high_cost) {
@@ -281,8 +280,7 @@ StatusOr<QueryOutcome> EmptyResultManager::ExecuteStatement(
   std::optional<CheckResult> check;
   if (config_.detection_enabled && prep.outcome.high_cost) {
     {
-      ScopedSpan span(metrics_.stage_check,
-                      &prep.outcome.timings.check_seconds);
+      ScopedSpan span(nullptr, &prep.outcome.timings.check_seconds);
       check = detector_.CheckEmpty(prep.planned.root);
     }
     metrics_.checks->Increment();
@@ -352,7 +350,7 @@ std::vector<StatusOr<QueryOutcome>> EmptyResultManager::ExecuteBatch(
     double batch_check_seconds = 0.0;
     std::vector<CheckResult> batch;
     {
-      ScopedSpan span(metrics_.stage_check, &batch_check_seconds);
+      ScopedSpan span(nullptr, &batch_check_seconds);
       batch = detector_.CheckEmptyBatch(roots);
     }
     // The probe ran once for everyone: attribute its cost in proportion
@@ -422,16 +420,17 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
                                  outcome.timings.check_seconds);
     }
     outcome.timings.total_seconds = total_timer.Seconds();
-    metrics_.query_total->Observe(outcome.timings.total_seconds);
+    ObserveStages(outcome, /*checked=*/true, /*recorded=*/false);
     return outcome;
   }
 
-  if (config_.detection_enabled && outcome.high_cost) {
+  const bool checked = config_.detection_enabled && outcome.high_cost;
+  if (checked) {
     // §2.5 partial detection: branches of set operations that are provably
     // empty need not be evaluated.
     LogicalOpPtr pruned;
     {
-      ScopedSpan span(metrics_.stage_check, &outcome.timings.check_seconds);
+      ScopedSpan span(nullptr, &outcome.timings.check_seconds);
       pruned = detector_.PrunePlan(prep.planned.root, &outcome.branches_pruned);
     }
     if (outcome.branches_pruned > 0) {
@@ -440,15 +439,14 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
         MutexLock lock(&mu_);
         stats_.branches_pruned += outcome.branches_pruned;
       }
-      ScopedSpan span(metrics_.stage_optimize,
-                      &outcome.timings.optimize_seconds);
+      ScopedSpan span(nullptr, &outcome.timings.optimize_seconds);
       ERQ_ASSIGN_OR_RETURN(physical, optimizer_.Optimize(pruned));
     }
   }
 
   std::vector<HarvestedIntermediate> harvested;
   {
-    ScopedSpan span(metrics_.stage_execute, &outcome.timings.execute_seconds);
+    ScopedSpan span(nullptr, &outcome.timings.execute_seconds);
     // Pruner + oracle are stack-local but must outlive Run (they are
     // consulted from TableScanIter::Open); the detector they borrow is
     // internally synchronized, so probes are safe mid-execution.
@@ -496,10 +494,12 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
     if (explanation.ok()) outcome.explanation = *std::move(explanation);
   }
 
+  bool recorded = false;  // whether any record stage below ran
   if (outcome.result_empty && config_.detection_enabled &&
       (outcome.high_cost || config_.record_low_cost)) {
+    recorded = true;
     {
-      ScopedSpan span(metrics_.stage_record, &outcome.timings.record_seconds);
+      ScopedSpan span(nullptr, &outcome.timings.record_seconds);
       outcome.aqps_recorded = detector_.RecordEmpty(physical);
     }
     if (outcome.aqps_recorded > 0) {
@@ -514,13 +514,15 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
     // Partition-granular harvest is not gated on result_empty or the cost
     // gate: every scanned partition with zero scan-condition matches is
     // ground truth the scan already paid for (see config.h).
-    ScopedSpan span(metrics_.stage_record, &outcome.timings.record_seconds);
+    recorded = true;
+    ScopedSpan span(nullptr, &outcome.timings.record_seconds);
     outcome.partition_aqps_recorded =
         detector_.RecordPartitionEmpties(physical);
   }
 
   if (reuse_store_ != nullptr && !harvested.empty()) {
-    ScopedSpan span(metrics_.stage_record, &outcome.timings.record_seconds);
+    recorded = true;
+    ScopedSpan span(nullptr, &outcome.timings.record_seconds);
     outcome.intermediates_harvested = HarvestIntermediates(harvested);
   }
   if (outcome.reused_subtrees > 0 || outcome.intermediates_harvested > 0) {
@@ -529,8 +531,20 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
     stats_.intermediates_harvested += outcome.intermediates_harvested;
   }
   outcome.timings.total_seconds = total_timer.Seconds();
-  metrics_.query_total->Observe(outcome.timings.total_seconds);
+  ObserveStages(outcome, checked, recorded);
   return outcome;
+}
+
+void EmptyResultManager::ObserveStages(const QueryOutcome& outcome,
+                                       bool checked, bool recorded) {
+  const QueryOutcome::Timings& t = outcome.timings;
+  metrics_.stage_plan->Observe(t.plan_seconds);
+  metrics_.stage_optimize->Observe(t.optimize_seconds);
+  metrics_.stage_gate->Observe(t.gate_seconds);
+  if (checked) metrics_.stage_check->Observe(t.check_seconds);
+  if (outcome.executed) metrics_.stage_execute->Observe(t.execute_seconds);
+  if (recorded) metrics_.stage_record->Observe(t.record_seconds);
+  metrics_.query_total->Observe(t.total_seconds);
 }
 
 size_t EmptyResultManager::HarvestIntermediates(

@@ -138,9 +138,11 @@ struct ManagerStats {
 /// Registers itself as a catalog update listener so base-table updates
 /// invalidate stored parts (read-mostly batch-update model).
 ///
-/// Every stage records its latency into the process-wide MetricsRegistry
-/// (`erq.manager.stage.*` histograms; see DESIGN.md §"Observability") and
-/// into the returned QueryOutcome::Timings.
+/// Every stage records its latency into the returned
+/// QueryOutcome::Timings, and each finished query observes the
+/// process-wide `erq.manager.stage.*` histograms once per stage it ran
+/// (see DESIGN.md §"Observability"), so histogram counts reconcile with
+/// the query counters.
 ///
 /// The config is validated in the ctor (EmptyResultConfig::Validate());
 /// on a mis-configured manager every entry point returns that error.
@@ -290,6 +292,14 @@ class EmptyResultManager {
   /// then prune/re-optimize, execute, explain, and harvest.
   StatusOr<QueryOutcome> FinishChecked(PreparedStatement prep,
                                        std::optional<CheckResult> check);
+
+  /// Observes the stage histograms once for a finished query, from its
+  /// accumulated timings: plan, optimize, gate, and query_total always;
+  /// check, execute, and record only when that stage ran (a stage split
+  /// over several spans, such as the §2.5 re-check, counts once). Parse
+  /// is observed where the SQL is parsed.
+  void ObserveStages(const QueryOutcome& outcome, bool checked,
+                     bool recorded);
 
   /// Offers each executed-run intermediate to the reuse store: decompose
   /// the Filter-over-TableScan subtree into the atomic-part normal form,

@@ -61,75 +61,108 @@ uint64_t ScannedRows(const PhysicalOperator& op) {
   return total;
 }
 
-/// Iterator interface. Next() returns nullopt at end of stream.
+/// Iterator interface. Rows flow up the plan as pointers: Next() returns
+/// the next row, or nullptr at end of stream. The row belongs to its
+/// producer — table storage, a cached result pinned by its shared_ptr, or
+/// an output slot a materializing operator owns — and stays valid until
+/// the producing iterator's next Next() or Open(). Filters and semi-joins
+/// test the row where it lives and hand the same pointer on; a consumer
+/// that keeps a row calls Take().
+///
+/// Open() and Next() are non-virtual: they count every emitted row into
+/// the plan node's actual_rows around the operator's own DoOpen/DoNext.
 class Iter {
  public:
+  explicit Iter(PhysicalOperator& op) : op_(op) {}
   virtual ~Iter() = default;
-  virtual Status Open() = 0;
-  virtual StatusOr<std::optional<Row>> Next() = 0;
+
+  Status Open() {
+    op_.actual_rows = 0;
+    return DoOpen();
+  }
+
+  StatusOr<const Row*> Next() {
+    ERQ_ASSIGN_OR_RETURN(last_, DoNext());
+    if (last_ != nullptr) ++op_.actual_rows;
+    return last_;
+  }
+
+  /// Hands over the row the last Next() returned. The default copies it
+  /// out of storage; materializing operators move it out of the slot they
+  /// own, and pass-through operators ask the child that produced it.
+  virtual Row Take() { return *last_; }
+
+ protected:
+  virtual Status DoOpen() = 0;
+  virtual StatusOr<const Row*> DoNext() = 0;
+
+  PhysicalOperator& op_;
+
+ private:
+  const Row* last_ = nullptr;
 };
 
 using IterPtr = std::unique_ptr<Iter>;
 
-StatusOr<IterPtr> MakeIter(const PhysOpPtr& op, const ExecOptions& options);
-
-/// Counts emitted rows into the plan node.
-class CountingIter : public Iter {
- public:
-  CountingIter(PhysicalOperator* node, IterPtr inner)
-      : node_(node), inner_(std::move(inner)) {}
-
-  Status Open() override {
-    node_->actual_rows = 0;
-    return inner_->Open();
+/// Opens `iter` and calls `fn(row)` on every row to end of stream.
+template <typename Fn>
+Status ForEachRow(Iter* iter, Fn fn) {
+  ERQ_RETURN_IF_ERROR(iter->Open());
+  while (true) {
+    ERQ_ASSIGN_OR_RETURN(const Row* row, iter->Next());
+    if (row == nullptr) return Status::OK();
+    ERQ_RETURN_IF_ERROR(fn(*row));
   }
+}
 
-  StatusOr<std::optional<Row>> Next() override {
-    ERQ_ASSIGN_OR_RETURN(std::optional<Row> row, inner_->Next());
-    if (row.has_value()) ++node_->actual_rows;
-    return row;
-  }
+/// Materializes a child stream, taking ownership of each row.
+StatusOr<std::vector<Row>> Drain(Iter* iter) {
+  std::vector<Row> rows;
+  ERQ_RETURN_IF_ERROR(ForEachRow(iter, [&](const Row&) {
+    rows.push_back(iter->Take());
+    return Status::OK();
+  }));
+  return rows;
+}
 
- private:
-  PhysicalOperator* node_;
-  IterPtr inner_;
-};
-
-/// Full-table or partition-pruned scan. The pruned path visits only
-/// surviving partitions but merges their row ids into globally ascending
-/// order, so the emitted row sequence is byte-identical to the full
-/// scan's minus rows from partitions provably irrelevant to the scan
-/// condition — rows the Filter above would drop anyway. Per surviving
-/// partition it counts scanned rows and scan-condition matches; a
-/// scanned partition with zero matches is ground truth the detector
-/// records as a partition-tagged atomic query part.
+/// Full-table or partition-pruned scan, yielding pointers into table
+/// storage (stable for the whole run under Table's caller-synchronized
+/// read contract). The pruned path visits only surviving partitions but
+/// merges their row ids into globally ascending order, so the emitted
+/// row sequence is byte-identical to the full scan's minus rows from
+/// partitions provably irrelevant to the scan condition — rows the Filter
+/// above would drop anyway. Per surviving partition it counts scanned
+/// rows and scan-condition matches; a scanned partition with zero matches
+/// is ground truth the detector records as a partition-tagged atomic
+/// query part.
 class TableScanIter : public Iter {
  public:
-  TableScanIter(PhysicalOperator* op, const ExecOptions& options)
-      : op_(op), options_(options) {}
+  TableScanIter(PhysicalOperator& op, const ExecOptions& options)
+      : Iter(op), options_(options) {}
 
-  Status Open() override {
+ protected:
+  Status DoOpen() override {
     pos_ = 0;
     partitioned_ = false;
     row_ids_.clear();
     stat_of_row_.clear();
-    if (options_.pruner == nullptr || !op_->has_scan_condition ||
-        op_->table == nullptr) {
+    if (options_.pruner == nullptr || !op_.has_scan_condition ||
+        op_.table == nullptr) {
       return Status::OK();
     }
-    snapshot_ = op_->table->partition_snapshot();
+    snapshot_ = op_.table->partition_snapshot();
     if (snapshot_ == nullptr) return Status::OK();
     partitioned_ = true;
     std::vector<size_t> survivors =
-        options_.pruner->Prune(ToLower(op_->table_name), op_->table->schema(),
-                               *snapshot_, op_->scan_condition);
-    op_->partition_stats.clear();
-    op_->partition_stats.reserve(survivors.size());
+        options_.pruner->Prune(ToLower(op_.table_name), op_.table->schema(),
+                               *snapshot_, op_.scan_condition);
+    op_.partition_stats.clear();
+    op_.partition_stats.reserve(survivors.size());
     std::vector<std::pair<size_t, size_t>> merged;  // (row id, stat index)
     for (size_t i = 0; i < survivors.size(); ++i) {
       PartitionScanStat stat;
       stat.partition = survivors[i];
-      op_->partition_stats.push_back(stat);
+      op_.partition_stats.push_back(stat);
       for (size_t rid : snapshot_->partitions[survivors[i]].row_ids) {
         merged.emplace_back(rid, i);
       }
@@ -141,34 +174,33 @@ class TableScanIter : public Iter {
       row_ids_.push_back(rid);
       stat_of_row_.push_back(stat_index);
     }
-    op_->partitions_scanned = static_cast<int64_t>(survivors.size());
-    op_->partitions_pruned =
+    op_.partitions_scanned = static_cast<int64_t>(survivors.size());
+    op_.partitions_pruned =
         static_cast<int64_t>(snapshot_->partitions.size() - survivors.size());
     return Status::OK();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     if (!partitioned_) {
-      if (pos_ >= op_->table->num_rows()) return std::optional<Row>{};
-      return std::optional<Row>(op_->table->row(pos_++));
+      if (pos_ >= op_.table->num_rows()) return nullptr;
+      return &op_.table->row(pos_++);
     }
-    if (pos_ >= row_ids_.size()) return std::optional<Row>{};
+    if (pos_ >= row_ids_.size()) return nullptr;
     size_t i = pos_++;
-    const Row& row = op_->table->row(row_ids_[i]);
-    PartitionScanStat& stat = op_->partition_stats[stat_of_row_[i]];
+    const Row& row = op_.table->row(row_ids_[i]);
+    PartitionScanStat& stat = op_.partition_stats[stat_of_row_[i]];
     ++stat.rows;
-    if (op_->partition_probe != nullptr) {
+    if (op_.partition_probe != nullptr) {
       ERQ_ASSIGN_OR_RETURN(bool pass,
-                           PredicatePasses(*op_->partition_probe, row));
+                           PredicatePasses(*op_.partition_probe, row));
       if (pass) ++stat.matches;
     } else {
       ++stat.matches;
     }
-    return std::optional<Row>(row);
+    return &row;
   }
 
  private:
-  PhysicalOperator* op_;
   const ExecOptions& options_;
   std::shared_ptr<const PartitionSnapshot> snapshot_;
   bool partitioned_ = false;
@@ -179,103 +211,109 @@ class TableScanIter : public Iter {
 
 class IndexScanIter : public Iter {
  public:
-  explicit IndexScanIter(const PhysicalOperator& op) : op_(op) {}
+  using Iter::Iter;
 
-  Status Open() override {
+ protected:
+  Status DoOpen() override {
     op_.index->Refresh();
     row_ids_ = op_.index->RangeLookup(op_.index_lo, op_.index_hi);
     pos_ = 0;
     return Status::OK();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     while (pos_ < row_ids_.size()) {
       const Row& row = op_.table->row(row_ids_[pos_++]);
       if (op_.predicate) {
         ERQ_ASSIGN_OR_RETURN(bool pass, PredicatePasses(*op_.predicate, row));
         if (!pass) continue;
       }
-      return std::optional<Row>(row);
+      return &row;
     }
-    return std::optional<Row>{};
+    return nullptr;
   }
 
  private:
-  const PhysicalOperator& op_;
   std::vector<size_t> row_ids_;
   size_t pos_ = 0;
 };
 
-/// Serves a spliced reuse-store entry: emits the stored materialized
+/// Serves a spliced reuse-store entry: yields the stored materialized
 /// rows verbatim. They were harvested in ascending row order from the
 /// table-scan path, so downstream output is byte-identical to the plan
 /// the splice replaced. The base table is never touched — the rows are
 /// pinned by the shared_ptr even if the store evicts the entry mid-run.
 class CachedResultScanIter : public Iter {
  public:
-  explicit CachedResultScanIter(const PhysicalOperator& op) : op_(op) {}
+  using Iter::Iter;
 
-  Status Open() override {
+ protected:
+  Status DoOpen() override {
     pos_ = 0;
     return Status::OK();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     if (op_.cached_rows == nullptr || pos_ >= op_.cached_rows->size()) {
-      return std::optional<Row>{};
+      return nullptr;
     }
-    return std::optional<Row>((*op_.cached_rows)[pos_++]);
+    return &(*op_.cached_rows)[pos_++];
   }
 
  private:
-  const PhysicalOperator& op_;
   size_t pos_ = 0;
 };
 
 class FilterIter : public Iter {
  public:
-  FilterIter(const PhysicalOperator& op, IterPtr child)
-      : op_(op), child_(std::move(child)) {}
+  FilterIter(PhysicalOperator& op, IterPtr child)
+      : Iter(op), child_(std::move(child)) {}
 
-  Status Open() override { return child_->Open(); }
+  Row Take() override { return child_->Take(); }
 
-  StatusOr<std::optional<Row>> Next() override {
+ protected:
+  Status DoOpen() override { return child_->Open(); }
+
+  StatusOr<const Row*> DoNext() override {
     while (true) {
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-      if (!row.has_value()) return row;
+      ERQ_ASSIGN_OR_RETURN(const Row* row, child_->Next());
+      if (row == nullptr) return row;
       ERQ_ASSIGN_OR_RETURN(bool pass, PredicatePasses(*op_.predicate, *row));
       if (pass) return row;
     }
   }
 
  private:
-  const PhysicalOperator& op_;
   IterPtr child_;
 };
 
-/// Buffers the rows flowing out of one Filter-over-TableScan node and,
-/// on observed end of stream, delivers the complete materialization to
-/// the run's harvest sink. The buffer is abandoned the instant it would
-/// exceed the row cap, so oversized intermediates are never
-/// double-materialized. Delivery strictly requires end of stream: a
-/// parent that stops pulling early leaves the buffer undelivered,
-/// because a partial output is not sigma_condition(relation). (Every
-/// current operator drains its children to exhaustion whenever the root
-/// drains, so in practice harvest always fires for completed runs.)
-class HarvestIter : public Iter {
+/// A Filter-over-TableScan that also buffers the rows it passes and, on
+/// observed end of stream, delivers the complete materialization to the
+/// run's harvest sink. The buffered copies are the only rows it builds.
+/// The buffer is abandoned the instant it would exceed the row cap, so
+/// oversized intermediates are never double-materialized. Delivery
+/// strictly requires end of stream: a parent that stops pulling early
+/// leaves the buffer undelivered, because a partial output is not
+/// sigma_condition(relation). (Every current operator drains its children
+/// to exhaustion whenever the root drains, so in practice harvest always
+/// fires for completed runs.)
+class HarvestIter : public FilterIter {
  public:
-  HarvestIter(PhysOpPtr node, IterPtr inner, const ExecOptions& options)
-      : node_(std::move(node)), inner_(std::move(inner)), options_(options) {}
+  HarvestIter(PhysOpPtr node, IterPtr child, const ExecOptions& options)
+      : FilterIter(*node, std::move(child)),
+        node_(std::move(node)),
+        options_(options) {}
 
-  Status Open() override {
+ protected:
+  Status DoOpen() override {
     buffer_ = std::make_shared<std::vector<Row>>();
     delivered_ = false;
-    return inner_->Open();
+    return FilterIter::DoOpen();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
-    ERQ_ASSIGN_OR_RETURN(std::optional<Row> row, inner_->Next());
-    if (!row.has_value()) {
+  StatusOr<const Row*> DoNext() override {
+    ERQ_ASSIGN_OR_RETURN(const Row* row, FilterIter::DoNext());
+    if (row == nullptr) {
       if (buffer_ != nullptr && !delivered_) {
         delivered_ = true;
         options_.harvest->push_back(HarvestedIntermediate{node_, buffer_});
@@ -295,7 +333,6 @@ class HarvestIter : public Iter {
 
  private:
   PhysOpPtr node_;
-  IterPtr inner_;
   const ExecOptions& options_;
   std::shared_ptr<std::vector<Row>> buffer_;
   bool delivered_ = false;
@@ -303,184 +340,184 @@ class HarvestIter : public Iter {
 
 class ProjectIter : public Iter {
  public:
-  ProjectIter(const PhysicalOperator& op, IterPtr child)
-      : op_(op), child_(std::move(child)) {}
+  ProjectIter(PhysicalOperator& op, IterPtr child)
+      : Iter(op), child_(std::move(child)) {}
 
-  Status Open() override { return child_->Open(); }
+  Row Take() override { return std::move(out_); }
 
-  StatusOr<std::optional<Row>> Next() override {
-    ERQ_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-    if (!row.has_value()) return row;
-    Row out;
-    out.reserve(op_.layout.size());
+ protected:
+  Status DoOpen() override { return child_->Open(); }
+
+  StatusOr<const Row*> DoNext() override {
+    ERQ_ASSIGN_OR_RETURN(const Row* row, child_->Next());
+    if (row == nullptr) return row;
+    out_.clear();
+    out_.reserve(op_.layout.size());
     for (const SelectItem& item : op_.items) {
       if (item.kind == SelectItem::Kind::kStar) {
-        for (const Value& v : *row) out.push_back(v);
+        out_.insert(out_.end(), row->begin(), row->end());
       } else {
         ERQ_ASSIGN_OR_RETURN(Value v, EvalScalar(*item.expr, *row));
-        out.push_back(std::move(v));
+        out_.push_back(std::move(v));
       }
     }
-    return std::optional<Row>(std::move(out));
+    return &out_;
   }
 
  private:
-  const PhysicalOperator& op_;
   IterPtr child_;
+  Row out_;
 };
 
-/// Materializes a child stream.
-StatusOr<std::vector<Row>> Drain(Iter* iter) {
-  ERQ_RETURN_IF_ERROR(iter->Open());
-  std::vector<Row> rows;
-  while (true) {
-    ERQ_ASSIGN_OR_RETURN(std::optional<Row> row, iter->Next());
-    if (!row.has_value()) break;
-    rows.push_back(std::move(*row));
-  }
-  return rows;
+/// Builds left ++ right into `out`, reusing its capacity.
+void ConcatInto(const Row& left, const Row& right, Row* out) {
+  out->clear();
+  out->reserve(left.size() + right.size());
+  out->insert(out->end(), left.begin(), left.end());
+  out->insert(out->end(), right.begin(), right.end());
 }
 
-Row ConcatRows(const Row& left, const Row& right) {
-  Row out;
-  out.reserve(left.size() + right.size());
-  out.insert(out.end(), left.begin(), left.end());
-  out.insert(out.end(), right.begin(), right.end());
-  return out;
+/// Whether a concatenated join row satisfies the join's full (or
+/// residual) condition; no condition passes everything.
+StatusOr<bool> JoinPasses(const PhysicalOperator& op, const Row& combined) {
+  if (!op.join_condition) return true;
+  return PredicatePasses(*op.join_condition, combined);
 }
 
 class NestedLoopsJoinIter : public Iter {
  public:
-  NestedLoopsJoinIter(const PhysicalOperator& op, IterPtr left, IterPtr right)
-      : op_(op), left_(std::move(left)), right_(std::move(right)) {}
+  NestedLoopsJoinIter(PhysicalOperator& op, IterPtr left, IterPtr right)
+      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
 
-  Status Open() override {
+  Row Take() override { return std::move(out_); }
+
+ protected:
+  Status DoOpen() override {
     ERQ_ASSIGN_OR_RETURN(right_rows_, Drain(right_.get()));
     ERQ_RETURN_IF_ERROR(left_->Open());
     right_pos_ = 0;
-    current_left_.reset();
+    current_left_ = nullptr;
     return Status::OK();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     while (true) {
-      if (!current_left_.has_value()) {
+      if (current_left_ == nullptr) {
         ERQ_ASSIGN_OR_RETURN(current_left_, left_->Next());
-        if (!current_left_.has_value()) return std::optional<Row>{};
+        if (current_left_ == nullptr) return nullptr;
         right_pos_ = 0;
       }
       while (right_pos_ < right_rows_.size()) {
-        Row combined = ConcatRows(*current_left_, right_rows_[right_pos_++]);
-        if (op_.join_condition) {
-          ERQ_ASSIGN_OR_RETURN(bool pass,
-                               PredicatePasses(*op_.join_condition, combined));
-          if (!pass) continue;
-        }
-        return std::optional<Row>(std::move(combined));
+        ConcatInto(*current_left_, right_rows_[right_pos_++], &out_);
+        ERQ_ASSIGN_OR_RETURN(bool pass, JoinPasses(op_, out_));
+        if (pass) return &out_;
       }
-      current_left_.reset();
+      current_left_ = nullptr;
     }
   }
 
  private:
-  const PhysicalOperator& op_;
   IterPtr left_, right_;
   std::vector<Row> right_rows_;
-  std::optional<Row> current_left_;
+  const Row* current_left_ = nullptr;  // valid until left_->Next()
   size_t right_pos_ = 0;
+  Row out_;
 };
 
-StatusOr<std::optional<Row>> EvalKeys(const std::vector<ExprPtr>& keys,
-                                      const Row& row) {
-  Row out;
-  out.reserve(keys.size());
+/// Evaluates the join keys of `row` into `out`; false when any key is
+/// NULL (null keys never match).
+StatusOr<bool> EvalKeys(const std::vector<ExprPtr>& keys, const Row& row,
+                        Row* out) {
+  out->clear();
+  out->reserve(keys.size());
   for (const ExprPtr& k : keys) {
     ERQ_ASSIGN_OR_RETURN(Value v, EvalScalar(*k, row));
-    if (v.is_null()) return std::optional<Row>{};  // null keys never match
-    out.push_back(std::move(v));
+    if (v.is_null()) return false;
+    out->push_back(std::move(v));
   }
-  return std::optional<Row>(std::move(out));
+  return true;
 }
 
 class HashJoinIter : public Iter {
  public:
-  HashJoinIter(const PhysicalOperator& op, IterPtr left, IterPtr right)
-      : op_(op), left_(std::move(left)), right_(std::move(right)) {}
+  HashJoinIter(PhysicalOperator& op, IterPtr left, IterPtr right)
+      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
 
-  Status Open() override {
+  Row Take() override { return std::move(out_); }
+
+ protected:
+  Status DoOpen() override {
     // Build on the right input.
-    ERQ_ASSIGN_OR_RETURN(std::vector<Row> right_rows, Drain(right_.get()));
     build_.clear();
-    for (Row& row : right_rows) {
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> key,
-                           EvalKeys(op_.right_keys, row));
-      if (!key.has_value()) continue;
-      build_[*key].push_back(std::move(row));
-    }
+    Row key;
+    ERQ_RETURN_IF_ERROR(ForEachRow(right_.get(), [&](const Row& row) {
+      ERQ_ASSIGN_OR_RETURN(bool has_key, EvalKeys(op_.right_keys, row, &key));
+      if (has_key) build_[key].push_back(right_->Take());
+      return Status::OK();
+    }));
     ERQ_RETURN_IF_ERROR(left_->Open());
     matches_ = nullptr;
     match_pos_ = 0;
     return Status::OK();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     while (true) {
       if (matches_ != nullptr) {
         while (match_pos_ < matches_->size()) {
-          Row combined = ConcatRows(current_left_, (*matches_)[match_pos_++]);
-          if (op_.join_condition) {
-            ERQ_ASSIGN_OR_RETURN(
-                bool pass, PredicatePasses(*op_.join_condition, combined));
-            if (!pass) continue;
-          }
-          return std::optional<Row>(std::move(combined));
+          ConcatInto(*current_left_, (*matches_)[match_pos_++], &out_);
+          ERQ_ASSIGN_OR_RETURN(bool pass, JoinPasses(op_, out_));
+          if (pass) return &out_;
         }
         matches_ = nullptr;
       }
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> left_row, left_->Next());
-      if (!left_row.has_value()) return std::optional<Row>{};
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> key,
-                           EvalKeys(op_.left_keys, *left_row));
-      if (!key.has_value()) continue;
-      auto it = build_.find(*key);
+      ERQ_ASSIGN_OR_RETURN(current_left_, left_->Next());
+      if (current_left_ == nullptr) return nullptr;
+      ERQ_ASSIGN_OR_RETURN(bool has_key,
+                           EvalKeys(op_.left_keys, *current_left_, &probe_));
+      if (!has_key) continue;
+      auto it = build_.find(probe_);
       if (it == build_.end()) continue;
-      current_left_ = std::move(*left_row);
       matches_ = &it->second;
       match_pos_ = 0;
     }
   }
 
  private:
-  const PhysicalOperator& op_;
   IterPtr left_, right_;
   std::unordered_map<Row, std::vector<Row>, RowHash> build_;
-  Row current_left_;
+  const Row* current_left_ = nullptr;  // valid until left_->Next()
+  Row probe_;                          // reused probe-key buffer
   const std::vector<Row>* matches_ = nullptr;
   size_t match_pos_ = 0;
+  Row out_;
 };
 
-/// Hash semi join: emits left rows whose operand value appears among the
-/// right child's (single-column) output values. NULL operands match
+/// Hash semi join: passes on left rows whose operand value appears among
+/// the right child's (single-column) output values. NULL operands match
 /// nothing (SQL IN semantics for the TRUE case, which is all a semi join
 /// keeps).
 class SemiJoinIter : public Iter {
  public:
-  SemiJoinIter(const PhysicalOperator& op, IterPtr left, IterPtr right)
-      : op_(op), left_(std::move(left)), right_(std::move(right)) {}
+  SemiJoinIter(PhysicalOperator& op, IterPtr left, IterPtr right)
+      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
 
-  Status Open() override {
-    ERQ_ASSIGN_OR_RETURN(std::vector<Row> right_rows, Drain(right_.get()));
+  Row Take() override { return left_->Take(); }
+
+ protected:
+  Status DoOpen() override {
     values_.clear();
-    for (const Row& row : right_rows) {
+    ERQ_RETURN_IF_ERROR(ForEachRow(right_.get(), [&](const Row& row) {
       if (!row[0].is_null()) values_.insert(row[0]);
-    }
+      return Status::OK();
+    }));
     return left_->Open();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     while (true) {
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> row, left_->Next());
-      if (!row.has_value()) return row;
+      ERQ_ASSIGN_OR_RETURN(const Row* row, left_->Next());
+      if (row == nullptr) return row;
       ERQ_ASSIGN_OR_RETURN(Value key, EvalScalar(*op_.left_keys[0], *row));
       if (key.is_null()) continue;
       if (values_.count(key) > 0) return row;
@@ -494,7 +531,6 @@ class SemiJoinIter : public Iter {
     }
   };
 
-  const PhysicalOperator& op_;
   IterPtr left_, right_;
   std::unordered_set<Value, ValueHash, ValueEq> values_;
 };
@@ -503,10 +539,13 @@ class SemiJoinIter : public Iter {
 /// equal-key groups.
 class MergeJoinIter : public Iter {
  public:
-  MergeJoinIter(const PhysicalOperator& op, IterPtr left, IterPtr right)
-      : op_(op), left_(std::move(left)), right_(std::move(right)) {}
+  MergeJoinIter(PhysicalOperator& op, IterPtr left, IterPtr right)
+      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
 
-  Status Open() override {
+  Row Take() override { return std::move(pending_[out_pos_ - 1]); }
+
+ protected:
+  Status DoOpen() override {
     ERQ_ASSIGN_OR_RETURN(std::vector<Row> lrows, Drain(left_.get()));
     ERQ_ASSIGN_OR_RETURN(std::vector<Row> rrows, Drain(right_.get()));
     ERQ_RETURN_IF_ERROR(Prepare(lrows, op_.left_keys, &left_sorted_));
@@ -517,15 +556,13 @@ class MergeJoinIter : public Iter {
     return Status::OK();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     while (true) {
-      if (out_pos_ < pending_.size()) {
-        return std::optional<Row>(std::move(pending_[out_pos_++]));
-      }
+      if (out_pos_ < pending_.size()) return &pending_[out_pos_++];
       pending_.clear();
       out_pos_ = 0;
       if (li_ >= left_sorted_.size() || ri_ >= right_sorted_.size()) {
-        return std::optional<Row>{};
+        return nullptr;
       }
       int c = CompareKeys(left_sorted_[li_].first, right_sorted_[ri_].first);
       if (c < 0) {
@@ -550,14 +587,10 @@ class MergeJoinIter : public Iter {
       }
       for (size_t a = li_; a < lj; ++a) {
         for (size_t b = ri_; b < rj; ++b) {
-          Row combined =
-              ConcatRows(left_sorted_[a].second, right_sorted_[b].second);
-          if (op_.join_condition) {
-            ERQ_ASSIGN_OR_RETURN(
-                bool pass, PredicatePasses(*op_.join_condition, combined));
-            if (!pass) continue;
-          }
-          pending_.push_back(std::move(combined));
+          ConcatInto(left_sorted_[a].second, right_sorted_[b].second,
+                     &combined_);
+          ERQ_ASSIGN_OR_RETURN(bool pass, JoinPasses(op_, combined_));
+          if (pass) pending_.push_back(combined_);
         }
       }
       li_ = lj;
@@ -582,9 +615,10 @@ class MergeJoinIter : public Iter {
     out->clear();
     out->reserve(rows.size());
     for (Row& row : rows) {
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> key, EvalKeys(keys, row));
-      if (!key.has_value()) continue;  // null keys never join
-      out->emplace_back(std::move(*key), std::move(row));
+      Row key;
+      ERQ_ASSIGN_OR_RETURN(bool has_key, EvalKeys(keys, row, &key));
+      if (!has_key) continue;  // null keys never join
+      out->emplace_back(std::move(key), std::move(row));
     }
     std::sort(out->begin(), out->end(), [](const Keyed& a, const Keyed& b) {
       return CompareKeys(a.first, b.first) < 0;
@@ -592,20 +626,23 @@ class MergeJoinIter : public Iter {
     return Status::OK();
   }
 
-  const PhysicalOperator& op_;
   IterPtr left_, right_;
   std::vector<Keyed> left_sorted_, right_sorted_;
   size_t li_ = 0, ri_ = 0;
+  Row combined_;  // scratch: rows failing the condition are never kept
   std::vector<Row> pending_;
   size_t out_pos_ = 0;
 };
 
 class LeftOuterJoinIter : public Iter {
  public:
-  LeftOuterJoinIter(const PhysicalOperator& op, IterPtr left, IterPtr right)
-      : op_(op), left_(std::move(left)), right_(std::move(right)) {}
+  LeftOuterJoinIter(PhysicalOperator& op, IterPtr left, IterPtr right)
+      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
 
-  Status Open() override {
+  Row Take() override { return std::move(pending_[out_pos_ - 1]); }
+
+ protected:
+  Status DoOpen() override {
     ERQ_ASSIGN_OR_RETURN(right_rows_, Drain(right_.get()));
     right_width_ = op_.children[1]->layout.size();
     ERQ_RETURN_IF_ERROR(left_->Open());
@@ -614,51 +651,47 @@ class LeftOuterJoinIter : public Iter {
     return Status::OK();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     while (true) {
-      if (out_pos_ < pending_.size()) {
-        return std::optional<Row>(std::move(pending_[out_pos_++]));
-      }
+      if (out_pos_ < pending_.size()) return &pending_[out_pos_++];
       pending_.clear();
       out_pos_ = 0;
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> left_row, left_->Next());
-      if (!left_row.has_value()) return std::optional<Row>{};
+      ERQ_ASSIGN_OR_RETURN(const Row* left_row, left_->Next());
+      if (left_row == nullptr) return nullptr;
       bool matched = false;
       for (const Row& r : right_rows_) {
-        Row combined = ConcatRows(*left_row, r);
-        if (op_.join_condition) {
-          ERQ_ASSIGN_OR_RETURN(bool pass,
-                               PredicatePasses(*op_.join_condition, combined));
-          if (!pass) continue;
-        }
+        ConcatInto(*left_row, r, &combined_);
+        ERQ_ASSIGN_OR_RETURN(bool pass, JoinPasses(op_, combined_));
+        if (!pass) continue;
         matched = true;
-        pending_.push_back(std::move(combined));
+        pending_.push_back(combined_);
       }
       if (!matched) {
         Row padded = *left_row;
-        for (size_t i = 0; i < right_width_; ++i) {
-          padded.push_back(Value::Null());
-        }
+        padded.resize(padded.size() + right_width_, Value::Null());
         pending_.push_back(std::move(padded));
       }
     }
   }
 
  private:
-  const PhysicalOperator& op_;
   IterPtr left_, right_;
   std::vector<Row> right_rows_;
   size_t right_width_ = 0;
+  Row combined_;  // scratch: rows failing the condition are never kept
   std::vector<Row> pending_;
   size_t out_pos_ = 0;
 };
 
 class SortIter : public Iter {
  public:
-  SortIter(const PhysicalOperator& op, IterPtr child)
-      : op_(op), child_(std::move(child)) {}
+  SortIter(PhysicalOperator& op, IterPtr child)
+      : Iter(op), child_(std::move(child)) {}
 
-  Status Open() override {
+  Row Take() override { return std::move(rows_[pos_ - 1]); }
+
+ protected:
+  Status DoOpen() override {
     ERQ_ASSIGN_OR_RETURN(rows_, Drain(child_.get()));
     // Precompute sort keys.
     std::vector<std::pair<Row, Row>> keyed;
@@ -687,13 +720,12 @@ class SortIter : public Iter {
     return Status::OK();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
-    if (pos_ >= rows_.size()) return std::optional<Row>{};
-    return std::optional<Row>(std::move(rows_[pos_++]));
+  StatusOr<const Row*> DoNext() override {
+    if (pos_ >= rows_.size()) return nullptr;
+    return &rows_[pos_++];
   }
 
  private:
-  const PhysicalOperator& op_;
   IterPtr child_;
   std::vector<Row> rows_;
   size_t pos_ = 0;
@@ -711,17 +743,21 @@ struct RowEq {
 
 class DistinctIter : public Iter {
  public:
-  explicit DistinctIter(IterPtr child) : child_(std::move(child)) {}
+  DistinctIter(PhysicalOperator& op, IterPtr child)
+      : Iter(op), child_(std::move(child)) {}
 
-  Status Open() override {
+  Row Take() override { return child_->Take(); }
+
+ protected:
+  Status DoOpen() override {
     seen_.clear();
     return child_->Open();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     while (true) {
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> row, child_->Next());
-      if (!row.has_value()) return row;
+      ERQ_ASSIGN_OR_RETURN(const Row* row, child_->Next());
+      if (row == nullptr) return row;
       if (seen_.insert(*row).second) return row;
     }
   }
@@ -733,11 +769,13 @@ class DistinctIter : public Iter {
 
 class AggregateIter : public Iter {
  public:
-  AggregateIter(const PhysicalOperator& op, IterPtr child)
-      : op_(op), child_(std::move(child)) {}
+  AggregateIter(PhysicalOperator& op, IterPtr child)
+      : Iter(op), child_(std::move(child)) {}
 
-  Status Open() override {
-    ERQ_ASSIGN_OR_RETURN(std::vector<Row> rows, Drain(child_.get()));
+  Row Take() override { return std::move(output_[pos_ - 1]); }
+
+ protected:
+  Status DoOpen() override {
     output_.clear();
     pos_ = 0;
 
@@ -758,15 +796,22 @@ class AggregateIter : public Iter {
       if (item.kind == SelectItem::Kind::kAggregate) ++num_aggs;
     }
 
-    for (const Row& row : rows) {
-      Row key;
+    // Input rows are folded where they live; none is kept.
+    Row key;
+    ERQ_RETURN_IF_ERROR(ForEachRow(child_.get(), [&](const Row& row) {
+      key.clear();
       key.reserve(op_.group_by.size());
       for (const ExprPtr& g : op_.group_by) {
         ERQ_ASSIGN_OR_RETURN(Value v, EvalScalar(*g, row));
         key.push_back(std::move(v));
       }
-      auto [it, inserted] = groups.try_emplace(
-          key, std::make_pair(key, std::vector<AggState>(num_aggs)));
+      auto it = groups.find(key);
+      if (it == groups.end()) {
+        it = groups
+                 .emplace(key, std::make_pair(key,
+                                              std::vector<AggState>(num_aggs)))
+                 .first;
+      }
       std::vector<AggState>& states = it->second.second;
       size_t agg_idx = 0;
       for (const SelectItem& item : op_.items) {
@@ -799,7 +844,8 @@ class AggregateIter : public Iter {
             break;
         }
       }
-    }
+      return Status::OK();
+    }));
 
     auto emit = [&](const Row& key, const std::vector<AggState>& states) {
       Row out = key;
@@ -848,13 +894,12 @@ class AggregateIter : public Iter {
     return Status::OK();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
-    if (pos_ >= output_.size()) return std::optional<Row>{};
-    return std::optional<Row>(std::move(output_[pos_++]));
+  StatusOr<const Row*> DoNext() override {
+    if (pos_ >= output_.size()) return nullptr;
+    return &output_[pos_++];
   }
 
  private:
-  const PhysicalOperator& op_;
   IterPtr child_;
   std::vector<Row> output_;
   size_t pos_ = 0;
@@ -862,21 +907,23 @@ class AggregateIter : public Iter {
 
 class UnionIter : public Iter {
  public:
-  UnionIter(const PhysicalOperator& op, IterPtr left, IterPtr right)
-      : op_(op), left_(std::move(left)), right_(std::move(right)) {}
+  UnionIter(PhysicalOperator& op, IterPtr left, IterPtr right)
+      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
 
-  Status Open() override {
+  Row Take() override { return (on_right_ ? right_ : left_)->Take(); }
+
+ protected:
+  Status DoOpen() override {
     seen_.clear();
     on_right_ = false;
-    ERQ_RETURN_IF_ERROR(left_->Open());
-    return Status::OK();
+    return left_->Open();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     while (true) {
       Iter* current = on_right_ ? right_.get() : left_.get();
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> row, current->Next());
-      if (!row.has_value()) {
+      ERQ_ASSIGN_OR_RETURN(const Row* row, current->Next());
+      if (row == nullptr) {
         if (on_right_) return row;
         on_right_ = true;
         ERQ_RETURN_IF_ERROR(right_->Open());
@@ -888,7 +935,6 @@ class UnionIter : public Iter {
   }
 
  private:
-  const PhysicalOperator& op_;
   IterPtr left_, right_;
   std::unordered_set<Row, RowHash, RowEq> seen_;
   bool on_right_ = false;
@@ -896,10 +942,13 @@ class UnionIter : public Iter {
 
 class ExceptIter : public Iter {
  public:
-  ExceptIter(const PhysicalOperator& op, IterPtr left, IterPtr right)
-      : op_(op), left_(std::move(left)), right_(std::move(right)) {}
+  ExceptIter(PhysicalOperator& op, IterPtr left, IterPtr right)
+      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
 
-  Status Open() override {
+  Row Take() override { return left_->Take(); }
+
+ protected:
+  Status DoOpen() override {
     ERQ_ASSIGN_OR_RETURN(std::vector<Row> right_rows, Drain(right_.get()));
     right_counts_.clear();
     for (Row& r : right_rows) ++right_counts_[std::move(r)];
@@ -907,10 +956,10 @@ class ExceptIter : public Iter {
     return left_->Open();
   }
 
-  StatusOr<std::optional<Row>> Next() override {
+  StatusOr<const Row*> DoNext() override {
     while (true) {
-      ERQ_ASSIGN_OR_RETURN(std::optional<Row> row, left_->Next());
-      if (!row.has_value()) return row;
+      ERQ_ASSIGN_OR_RETURN(const Row* row, left_->Next());
+      if (row == nullptr) return row;
       if (op_.all) {
         // Multiset difference: consume one right occurrence per match.
         auto it = right_counts_.find(*row);
@@ -927,94 +976,65 @@ class ExceptIter : public Iter {
   }
 
  private:
-  const PhysicalOperator& op_;
   IterPtr left_, right_;
   std::unordered_map<Row, int64_t, RowHash, RowEq> right_counts_;
   std::unordered_set<Row, RowHash, RowEq> emitted_;
 };
 
-StatusOr<IterPtr> MakeInner(const PhysOpPtr& op, const ExecOptions& options) {
+StatusOr<IterPtr> MakeIter(const PhysOpPtr& op, const ExecOptions& options) {
+  PhysicalOperator& node = *op;
+  // Children, built in order; unary operators use the first.
+  std::vector<IterPtr> in;
+  for (const PhysOpPtr& child : op->children) {
+    ERQ_ASSIGN_OR_RETURN(IterPtr it, MakeIter(child, options));
+    in.push_back(std::move(it));
+  }
   switch (op->kind) {
     case PhysOpKind::kTableScan:
-      return IterPtr(new TableScanIter(op.get(), options));
+      return IterPtr(new TableScanIter(node, options));
     case PhysOpKind::kIndexScan:
-      return IterPtr(new IndexScanIter(*op));
+      return IterPtr(new IndexScanIter(node));
     case PhysOpKind::kCachedResultScan:
-      return IterPtr(new CachedResultScanIter(*op));
-    case PhysOpKind::kFilter: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr child, MakeIter(op->children[0], options));
-      IterPtr filter(new FilterIter(*op, std::move(child)));
+      return IterPtr(new CachedResultScanIter(node));
+    case PhysOpKind::kFilter:
       // Harvest only the Filter-over-TableScan shape: its output is the
       // complete sigma_predicate(relation) in ascending row order (even
       // under partition pruning, which only skips rows the filter would
       // reject) — the one intermediate the reuse store can serve soundly.
       if (options.harvest != nullptr &&
           op->children[0]->kind == PhysOpKind::kTableScan) {
-        return IterPtr(new HarvestIter(op, std::move(filter), options));
+        return IterPtr(new HarvestIter(op, std::move(in[0]), options));
       }
-      return filter;
-    }
-    case PhysOpKind::kProject: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr child, MakeIter(op->children[0], options));
-      return IterPtr(new ProjectIter(*op, std::move(child)));
-    }
-    case PhysOpKind::kNestedLoopsJoin: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr left, MakeIter(op->children[0], options));
-      ERQ_ASSIGN_OR_RETURN(IterPtr right, MakeIter(op->children[1], options));
+      return IterPtr(new FilterIter(node, std::move(in[0])));
+    case PhysOpKind::kProject:
+      return IterPtr(new ProjectIter(node, std::move(in[0])));
+    case PhysOpKind::kNestedLoopsJoin:
       return IterPtr(
-          new NestedLoopsJoinIter(*op, std::move(left), std::move(right)));
-    }
-    case PhysOpKind::kHashJoin: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr left, MakeIter(op->children[0], options));
-      ERQ_ASSIGN_OR_RETURN(IterPtr right, MakeIter(op->children[1], options));
-      return IterPtr(new HashJoinIter(*op, std::move(left), std::move(right)));
-    }
-    case PhysOpKind::kMergeJoin: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr left, MakeIter(op->children[0], options));
-      ERQ_ASSIGN_OR_RETURN(IterPtr right, MakeIter(op->children[1], options));
+          new NestedLoopsJoinIter(node, std::move(in[0]), std::move(in[1])));
+    case PhysOpKind::kHashJoin:
       return IterPtr(
-          new MergeJoinIter(*op, std::move(left), std::move(right)));
-    }
-    case PhysOpKind::kSemiJoin: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr left, MakeIter(op->children[0], options));
-      ERQ_ASSIGN_OR_RETURN(IterPtr right, MakeIter(op->children[1], options));
-      return IterPtr(new SemiJoinIter(*op, std::move(left), std::move(right)));
-    }
-    case PhysOpKind::kLeftOuterJoin: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr left, MakeIter(op->children[0], options));
-      ERQ_ASSIGN_OR_RETURN(IterPtr right, MakeIter(op->children[1], options));
+          new HashJoinIter(node, std::move(in[0]), std::move(in[1])));
+    case PhysOpKind::kMergeJoin:
       return IterPtr(
-          new LeftOuterJoinIter(*op, std::move(left), std::move(right)));
-    }
-    case PhysOpKind::kSort: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr child, MakeIter(op->children[0], options));
-      return IterPtr(new SortIter(*op, std::move(child)));
-    }
-    case PhysOpKind::kDistinct: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr child, MakeIter(op->children[0], options));
-      return IterPtr(new DistinctIter(std::move(child)));
-    }
-    case PhysOpKind::kAggregate: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr child, MakeIter(op->children[0], options));
-      return IterPtr(new AggregateIter(*op, std::move(child)));
-    }
-    case PhysOpKind::kUnion: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr left, MakeIter(op->children[0], options));
-      ERQ_ASSIGN_OR_RETURN(IterPtr right, MakeIter(op->children[1], options));
-      return IterPtr(new UnionIter(*op, std::move(left), std::move(right)));
-    }
-    case PhysOpKind::kExcept: {
-      ERQ_ASSIGN_OR_RETURN(IterPtr left, MakeIter(op->children[0], options));
-      ERQ_ASSIGN_OR_RETURN(IterPtr right, MakeIter(op->children[1], options));
-      return IterPtr(new ExceptIter(*op, std::move(left), std::move(right)));
-    }
+          new MergeJoinIter(node, std::move(in[0]), std::move(in[1])));
+    case PhysOpKind::kSemiJoin:
+      return IterPtr(
+          new SemiJoinIter(node, std::move(in[0]), std::move(in[1])));
+    case PhysOpKind::kLeftOuterJoin:
+      return IterPtr(
+          new LeftOuterJoinIter(node, std::move(in[0]), std::move(in[1])));
+    case PhysOpKind::kSort:
+      return IterPtr(new SortIter(node, std::move(in[0])));
+    case PhysOpKind::kDistinct:
+      return IterPtr(new DistinctIter(node, std::move(in[0])));
+    case PhysOpKind::kAggregate:
+      return IterPtr(new AggregateIter(node, std::move(in[0])));
+    case PhysOpKind::kUnion:
+      return IterPtr(new UnionIter(node, std::move(in[0]), std::move(in[1])));
+    case PhysOpKind::kExcept:
+      return IterPtr(new ExceptIter(node, std::move(in[0]), std::move(in[1])));
   }
   return Status::Internal("unknown physical operator");
-}
-
-StatusOr<IterPtr> MakeIter(const PhysOpPtr& op, const ExecOptions& options) {
-  ERQ_ASSIGN_OR_RETURN(IterPtr inner, MakeInner(op, options));
-  return IterPtr(new CountingIter(op.get(), std::move(inner)));
 }
 
 }  // namespace
@@ -1027,14 +1047,9 @@ StatusOr<ExecutionResult> Executor::Run(const PhysOpPtr& plan,
                                         const ExecOptions& options) {
   plan->ResetActuals();
   ERQ_ASSIGN_OR_RETURN(IterPtr iter, MakeIter(plan, options));
-  ERQ_RETURN_IF_ERROR(iter->Open());
   ExecutionResult result;
   result.layout = plan->layout;
-  while (true) {
-    ERQ_ASSIGN_OR_RETURN(std::optional<Row> row, iter->Next());
-    if (!row.has_value()) break;
-    result.rows.push_back(std::move(*row));
-  }
+  ERQ_ASSIGN_OR_RETURN(result.rows, Drain(iter.get()));
   const ExecMetrics& metrics = ExecMetrics::Get();
   metrics.runs->Increment();
   metrics.rows_scanned->Increment(ScannedRows(*plan));

@@ -1,5 +1,6 @@
 #include "expr/dnf.h"
 
+#include "common/string_util.h"
 #include "expr/normalize.h"
 
 namespace erq {
@@ -94,7 +95,7 @@ std::string DnfToString(const Dnf& dnf) {
   std::string out;
   for (size_t i = 0; i < dnf.size(); ++i) {
     if (i > 0) out += " OR ";
-    out += "(" + dnf[i].ToString() + ")";
+    out += StrCat({"(", dnf[i].ToString(), ")"});
   }
   return out;
 }

@@ -275,20 +275,20 @@ size_t Expr::Hash() const {
 std::string Expr::ToString() const {
   switch (kind_) {
     case Kind::kColumnRef:
-      return qualifier_.empty() ? column_ : qualifier_ + "." + column_;
+      return qualifier_.empty() ? column_ : StrCat({qualifier_, ".", column_});
     case Kind::kLiteral:
       return value_.ToString();
     case Kind::kCompare:
-      return "(" + children_[0]->ToString() + " " +
-             CompareOpToString(compare_op_) + " " + children_[1]->ToString() +
-             ")";
+      return StrCat({"(", children_[0]->ToString(), " ",
+                     CompareOpToString(compare_op_), " ",
+                     children_[1]->ToString(), ")"});
     case Kind::kBetween:
-      return "(" + children_[0]->ToString() + (negated_ ? " NOT" : "") +
-             " BETWEEN " + children_[1]->ToString() + " AND " +
-             children_[2]->ToString() + ")";
+      return StrCat({"(", children_[0]->ToString(), negated_ ? " NOT" : "",
+                     " BETWEEN ", children_[1]->ToString(), " AND ",
+                     children_[2]->ToString(), ")"});
     case Kind::kInList: {
-      std::string out = "(" + children_[0]->ToString() +
-                        (negated_ ? " NOT IN (" : " IN (");
+      std::string out = StrCat({"(", children_[0]->ToString(),
+                                negated_ ? " NOT IN (" : " IN ("});
       for (size_t i = 1; i < children_.size(); ++i) {
         if (i > 1) out += ", ";
         out += children_[i]->ToString();
@@ -312,17 +312,18 @@ std::string Expr::ToString() const {
       return out + ")";
     }
     case Kind::kNot:
-      return "(NOT " + children_[0]->ToString() + ")";
+      return StrCat({"(NOT ", children_[0]->ToString(), ")"});
     case Kind::kArith:
-      return "(" + children_[0]->ToString() + " " +
-             ArithOpToString(arith_op_) + " " + children_[1]->ToString() + ")";
+      return StrCat({"(", children_[0]->ToString(), " ",
+                     ArithOpToString(arith_op_), " ", children_[1]->ToString(),
+                     ")"});
     case Kind::kIsNull:
-      return "(" + children_[0]->ToString() +
-             (negated_ ? " IS NOT NULL)" : " IS NULL)");
+      return StrCat({"(", children_[0]->ToString(),
+                     negated_ ? " IS NOT NULL)" : " IS NULL)"});
     case Kind::kLike:
-      return "(" + children_[0]->ToString() +
-             (negated_ ? " NOT LIKE " : " LIKE ") +
-             children_[1]->ToString() + ")";
+      return StrCat({"(", children_[0]->ToString(),
+                     negated_ ? " NOT LIKE " : " LIKE ",
+                     children_[1]->ToString(), ")"});
   }
   return "?";
 }

@@ -312,8 +312,9 @@ std::vector<std::string> ReuseStore::DescribeEntries() const {
     // The C_aqp text normal form (core/serialize.h) keeps the preview
     // consistent with cache_inspect's C_aqp dump.
     StatusOr<std::string> serialized = SerializePart(e->part);
-    std::string line = "#" + std::to_string(e->id) + " " +
-                       (serialized.ok() ? *serialized : e->part.ToString());
+    std::string line =
+        StrCat({"#", std::to_string(e->id), " ",
+                serialized.ok() ? *serialized : e->part.ToString()});
     line += " | rows=" + std::to_string(e->rows->size());
     line += " bytes=" + std::to_string(e->bytes);
     line += " hits=" +

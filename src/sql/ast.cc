@@ -40,14 +40,14 @@ std::string SelectItem::ToString() const {
   std::string out;
   switch (kind) {
     case Kind::kStar:
-      out = "*";
+      out.push_back('*');
       break;
     case Kind::kExpr:
       out = expr->ToString();
       break;
     case Kind::kAggregate:
-      out = std::string(AggFuncToString(agg)) + "(" +
-            (count_star ? "*" : expr->ToString()) + ")";
+      out = StrCat({AggFuncToString(agg), "(",
+                    count_star ? "*" : expr->ToString(), ")"});
       break;
   }
   if (!alias.empty()) out += " AS " + alias;
@@ -107,11 +107,13 @@ std::string Statement::ToString() const {
     case Op::kSelect:
       return select->ToString();
     case Op::kUnion:
-      return "(" + left->ToString() + (all ? ") UNION ALL (" : ") UNION (") +
-             right->ToString() + ")";
+      return StrCat({"(", left->ToString(),
+                     all ? ") UNION ALL (" : ") UNION (", right->ToString(),
+                     ")"});
     case Op::kExcept:
-      return "(" + left->ToString() + (all ? ") EXCEPT ALL (" : ") EXCEPT (") +
-             right->ToString() + ")";
+      return StrCat({"(", left->ToString(),
+                     all ? ") EXCEPT ALL (" : ") EXCEPT (", right->ToString(),
+                     ")"});
   }
   return "?";
 }

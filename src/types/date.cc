@@ -67,7 +67,9 @@ StatusOr<int32_t> DateFromString(const std::string& s) {
 std::string DateToString(int32_t days) {
   int y, m, d;
   CivilFromDays(days, &y, &m, &d);
-  char buf[16];
+  // Room for three full-width ints, so no day count can truncate (an
+  // int32_t day count reaches years of seven digits and a sign).
+  char buf[3 * 11 + 3];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d", y, m, d);
   return buf;
 }

@@ -1,5 +1,6 @@
 #include "core/caqp_cache.h"
 
+#include "common/string_util.h"
 #include "gtest/gtest.h"
 
 namespace erq {
@@ -217,8 +218,8 @@ TEST(CaqpCacheTest, EntryGarbageCollectionBoundsGrowth) {
                   /*enable_index=*/true, /*shards=*/1);
   for (int round = 0; round < 100; ++round) {
     // Each round uses fresh relation names => fresh entries.
-    std::string rel = "t" + std::to_string(round);
-    std::string other = "u" + std::to_string(round);
+    std::string rel = StrCat({"t", std::to_string(round)});
+    std::string other = StrCat({"u", std::to_string(round)});
     cache.Insert(Point(rel.c_str(), "x", 1));
     cache.Insert(Point(other.c_str(), "x", 1));
     cache.InvalidateRelation(rel);
@@ -247,11 +248,11 @@ TEST(CaqpCacheTest, EvictionReclaimsEmptyEntries) {
     // Four parts over four distinct relation sets: evicting a part must
     // also reclaim its singleton entry.
     for (int64_t i = 0; i < 4; ++i) {
-      cache.Insert(Point(("r" + std::to_string(i)).c_str(), "x", i));
+      cache.Insert(Point(StrCat({"r", std::to_string(i)}).c_str(), "x", i));
     }
     EXPECT_EQ(cache.stats_snapshot().entries_live, 4u);
     for (int64_t i = 0; i < 8; ++i) {
-      cache.Insert(Point(("s" + std::to_string(i)).c_str(), "x", i));
+      cache.Insert(Point(StrCat({"s", std::to_string(i)}).c_str(), "x", i));
       EXPECT_EQ(cache.size(), 4u);
       EXPECT_EQ(cache.stats_snapshot().entries_live, 4u);
     }
@@ -363,14 +364,13 @@ TEST(CaqpCacheTest, ShardCountIsBehaviorTransparent) {
     EXPECT_EQ(cache.shard_count(), shards);
     // Spread entries across relation names (=> across shards).
     for (int64_t i = 0; i < 20; ++i) {
-      cache.Insert(Point(("r" + std::to_string(i)).c_str(), "x", i));
+      cache.Insert(Point(StrCat({"r", std::to_string(i)}).c_str(), "x", i));
     }
     EXPECT_EQ(cache.size(), 20u);
     for (int64_t i = 0; i < 20; ++i) {
-      EXPECT_TRUE(cache.CoveredBy(Point(("r" + std::to_string(i)).c_str(),
-                                        "x", i)));
-      EXPECT_FALSE(cache.CoveredBy(Point(("r" + std::to_string(i)).c_str(),
-                                         "x", i + 100)));
+      const std::string rel = StrCat({"r", std::to_string(i)});
+      EXPECT_TRUE(cache.CoveredBy(Point(rel.c_str(), "x", i)));
+      EXPECT_FALSE(cache.CoveredBy(Point(rel.c_str(), "x", i + 100)));
     }
     // Displacement reaches entries in other shards: {r3} with TRUE covers
     // any part mentioning r3, wherever its entry lives.
@@ -408,12 +408,12 @@ TEST(CaqpCacheTest, MultiRelationEntriesFoundAcrossShards) {
 TEST(CaqpCacheTest, BatchLookupMatchesSingleLookups) {
   CaqpCache cache(100, EvictionPolicy::kClock, true, true, 4);
   for (int64_t i = 0; i < 10; ++i) {
-    cache.Insert(Point(("t" + std::to_string(i)).c_str(), "x", i));
+    cache.Insert(Point(StrCat({"t", std::to_string(i)}).c_str(), "x", i));
   }
   std::vector<AtomicQueryPart> probes;
   for (int64_t i = 0; i < 20; ++i) {
     // Even probes hit (stored value), odd probes miss (novel value).
-    probes.push_back(Point(("t" + std::to_string(i % 10)).c_str(), "x",
+    probes.push_back(Point(StrCat({"t", std::to_string(i % 10)}).c_str(), "x",
                            i % 2 == 0 ? i / 2 : i + 50));
   }
   std::vector<const AtomicQueryPart*> ptrs;
@@ -446,7 +446,7 @@ TEST(CaqpCacheTest, BatchLookupEmptyAndMarksRecency) {
 TEST(CaqpCacheTest, SnapshotSeesAllShards) {
   CaqpCache cache(100, EvictionPolicy::kClock, true, true, 8);
   for (int64_t i = 0; i < 12; ++i) {
-    cache.Insert(Point(("s" + std::to_string(i)).c_str(), "x", i));
+    cache.Insert(Point(StrCat({"s", std::to_string(i)}).c_str(), "x", i));
   }
   EXPECT_EQ(cache.Snapshot().size(), 12u);
 }

@@ -77,7 +77,7 @@ TEST_P(ParserFuzzTest, MutatedValidQueriesNeverCrashThePipeline) {
           mutated.insert(pos, 1, "abz19(),.<>='"[rng() % 13]);
           break;
       }
-      if (mutated.empty()) mutated = "x";
+      if (mutated.empty()) mutated.push_back('x');
     }
     auto result = db.Run(mutated);
     (void)result;

@@ -194,6 +194,60 @@ TEST(MetricsGoldenSchemaTest, MvCacheCountersAreExposed) {
   EXPECT_EQ(stats.stored, 1u);
 }
 
+TEST(MetricsGoldenSchemaTest, StageHistogramsObserveOncePerQuery) {
+  MetricsRegistry::Global().Reset();
+  FixtureDb db;
+  EmptyResultConfig config;
+  config.c_cost = 0.0;          // every query is checked
+  config.reuse.enabled = true;  // reuse harvest adds a record span
+  EmptyResultManager manager(&db.catalog(), &db.stats(), config);
+
+  // A mixed set: an executed empty (O2 record), its repeat (detected), a
+  // non-empty query, a union whose empty branch §2.5 prunes (a second
+  // check span plus a re-optimize), and a batch sharing one C_aqp probe.
+  size_t finished = 0;
+  size_t executed = 0;
+  auto tally = [&](const QueryOutcome& o) {
+    ++finished;
+    if (o.executed) ++executed;
+  };
+  for (const char* sql :
+       {"select * from A where a > 100", "select * from A where a > 100",
+        "select * from A where a < 15",
+        "select a from A where a > 100 union select d from B"}) {
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome o, manager.Query(sql));
+    tally(o);
+  }
+  EXPECT_EQ(manager.stats_snapshot().branches_pruned, 1u);
+  for (StatusOr<QueryOutcome>& o : manager.QueryBatch(
+           {"select * from B where d = 999", "select * from A where a > 100",
+            "select c from A"})) {
+    ERQ_ASSERT_OK(o.status());
+    tally(*o);
+  }
+
+  const ManagerStats stats = manager.stats_snapshot();
+  ASSERT_EQ(finished, 7u);
+  EXPECT_EQ(stats.queries, finished);
+  auto count = [](const char* name) {
+    return MetricsRegistry::Global().GetHistogram(name)->TakeSnapshot().count;
+  };
+  EXPECT_EQ(count("erq.manager.stage.parse"), finished);
+  EXPECT_EQ(count("erq.manager.stage.plan"), finished);
+  EXPECT_EQ(count("erq.manager.stage.optimize"), finished);
+  EXPECT_EQ(count("erq.manager.stage.gate"), finished);
+  EXPECT_EQ(count("erq.manager.query_total"), finished);
+  // Checked: every query the gate passed (a reuse splice can make a plan
+  // cheap enough to skip the check).
+  EXPECT_EQ(count("erq.manager.stage.check"), stats.checks);
+  EXPECT_GE(stats.checks, 5u);
+  EXPECT_EQ(count("erq.manager.stage.execute"), stats.executed);
+  EXPECT_EQ(stats.executed, executed);
+  // Partition facts are on by default, so every executed query runs the
+  // record stage — once, however many of its record spans ran.
+  EXPECT_EQ(count("erq.manager.stage.record"), executed);
+}
+
 // ---------------------------------------------------------------------------
 // QueryOutcome structured API
 // ---------------------------------------------------------------------------

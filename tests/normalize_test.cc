@@ -127,8 +127,9 @@ TEST_P(NormalizeEquivalenceTest, PreservesTruthValueUnder3VL) {
     ASSERT_TRUE(n.ok()) << e->ToString();
     for (int64_t x = -1; x < 8; ++x) {
       for (int64_t y = -1; y < 8; ++y) {
-        Row row = {x < 0 ? Value::Null() : Value::Int(x),
-                   y < 0 ? Value::Null() : Value::Int(y)};
+        Row row;
+        row.push_back(x < 0 ? Value::Null() : Value::Int(x));
+        row.push_back(y < 0 ? Value::Null() : Value::Int(y));
         auto before = EvalPredicate(*e, row);
         auto after = EvalPredicate(**n, row);
         ASSERT_TRUE(before.ok() && after.ok());

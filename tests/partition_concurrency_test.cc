@@ -19,7 +19,7 @@ namespace {
 PartitionScheme RangeScheme() {
   PartitionScheme s;
   s.kind = PartitionScheme::Kind::kRange;
-  s.key_column = "k";
+  s.key_column = std::string("k");
   s.range_bounds = {Value::Int(100), Value::Int(200), Value::Int(300)};
   return s;
 }
@@ -38,7 +38,7 @@ TEST(PartitionConcurrency, SnapshotReadersSeeConsistentState) {
       for (int64_t i = 0; i < kRowsPerWriter; ++i) {
         int64_t key = (w * kRowsPerWriter + i) % 400;
         ASSERT_TRUE(
-            table.Append({Value::Int(key), Value::Int(key * 10)}).ok());
+            table.AppendAll({{Value::Int(key), Value::Int(key * 10)}}).ok());
       }
     });
   }
@@ -94,7 +94,8 @@ TEST(PartitionConcurrency, ConcurrentAppendAndDelete) {
 
   std::thread appender([&table] {
     for (int64_t i = 0; i < 300; ++i) {
-      ASSERT_TRUE(table.Append({Value::Int(i % 400), Value::Int(-i)}).ok());
+      ASSERT_TRUE(
+          table.AppendAll({{Value::Int(i % 400), Value::Int(-i)}}).ok());
     }
   });
   std::thread deleter([&table] {

@@ -23,7 +23,7 @@ Schema TwoColSchema() {
 PartitionScheme RangeOnK(std::vector<Value> bounds) {
   PartitionScheme s;
   s.kind = PartitionScheme::Kind::kRange;
-  s.key_column = "k";
+  s.key_column = std::string("k");
   s.range_bounds = std::move(bounds);
   return s;
 }
@@ -209,8 +209,8 @@ TEST(Table, AppendMaintainsZoneMapsIncrementally) {
   ERQ_ASSERT_OK(table.SetPartitioning(RangeOnK({Value::Int(10)})));
   uint64_t v0 = table.version();
 
-  ERQ_ASSERT_OK(table.Append({Value::Int(3), Value::Int(30)}));
-  ERQ_ASSERT_OK(table.Append({Value::Int(15), Value::Int(150)}));
+  ERQ_ASSERT_OK(table.AppendAll({{Value::Int(3), Value::Int(30)}}));
+  ERQ_ASSERT_OK(table.AppendAll({{Value::Int(15), Value::Int(150)}}));
   EXPECT_GT(table.version(), v0);
 
   auto snap = table.partition_snapshot();

@@ -26,16 +26,16 @@ TEST(SchemaTest, ToString) {
 
 TEST(TableTest, AppendValidatesArity) {
   Table t("t", AbSchema());
-  EXPECT_FALSE(t.Append({Value::Int(1)}).ok());
-  EXPECT_TRUE(t.Append({Value::Int(1), Value::String("x")}).ok());
+  EXPECT_FALSE(t.AppendAll({{Value::Int(1)}}).ok());
+  EXPECT_TRUE(t.AppendAll({{Value::Int(1), Value::String("x")}}).ok());
   EXPECT_EQ(t.num_rows(), 1u);
 }
 
 TEST(TableTest, AppendValidatesTypes) {
   Table t("t", AbSchema());
-  EXPECT_FALSE(t.Append({Value::String("no"), Value::String("x")}).ok());
+  EXPECT_FALSE(t.AppendAll({{Value::String("no"), Value::String("x")}}).ok());
   // NULLs are allowed in any column.
-  EXPECT_TRUE(t.Append({Value::Null(), Value::Null()}).ok());
+  EXPECT_TRUE(t.AppendAll({{Value::Null(), Value::Null()}}).ok());
 }
 
 TEST(TableTest, VersionBumpsOnMutation) {
@@ -78,6 +78,26 @@ TEST(CatalogTest, UpdateListenersFireOnAppendAndDrop) {
   ASSERT_TRUE(c.DropTable("t").ok());
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0], "t");
+}
+
+TEST(CatalogTest, AppendRowsIsAllOrNothing) {
+  // A bad row anywhere in the batch rejects the whole batch before any row
+  // lands: a partial append would change the table without the insert
+  // event that invalidates stored emptiness facts.
+  Catalog c;
+  ASSERT_TRUE(c.CreateTable("t", AbSchema()).ok());
+  size_t events = 0;
+  c.AddUpdateListener([&](const std::string&) { ++events; });
+  EXPECT_FALSE(c.AppendRows("t", {{Value::Int(1), Value::String("x")},
+                                  {Value::String("bad"), Value::String("y")}})
+                   .ok());
+  EXPECT_EQ((*c.GetTable("t"))->num_rows(), 0u);
+  EXPECT_EQ(events, 0u);
+  ASSERT_TRUE(c.AppendRows("t", {{Value::Int(1), Value::String("x")},
+                                 {Value::Int(2), Value::Null()}})
+                  .ok());
+  EXPECT_EQ((*c.GetTable("t"))->num_rows(), 2u);
+  EXPECT_EQ(events, 1u);
 }
 
 TEST(IndexTest, EqualAndRangeLookup) {

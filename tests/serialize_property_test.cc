@@ -4,6 +4,7 @@
 
 #include <random>
 
+#include "common/string_util.h"
 #include "core/serialize.h"
 #include "gtest/gtest.h"
 
@@ -32,9 +33,9 @@ Value RandomValue(std::mt19937_64& rng) {
 }
 
 PrimitiveTerm RandomSerializableTerm(std::mt19937_64& rng) {
-  std::string rel = "rel" + std::to_string(rng() % 3);
+  std::string rel = StrCat({"rel", std::to_string(rng() % 3)});
   if (rng() % 4 == 0) rel += "#2";
-  ColumnId col = ColumnId::Make(rel, "c" + std::to_string(rng() % 4));
+  ColumnId col = ColumnId::Make(rel, StrCat({"c", std::to_string(rng() % 4)}));
   switch (rng() % 3) {
     case 0: {
       // Interval with random open/closed/absent endpoints of one type.
@@ -54,8 +55,8 @@ PrimitiveTerm RandomSerializableTerm(std::mt19937_64& rng) {
     case 1:
       return PrimitiveTerm::MakeNotEqual(col, RandomValue(rng));
     default: {
-      ColumnId rhs = ColumnId::Make("rel" + std::to_string(rng() % 3),
-                                    "c" + std::to_string(rng() % 4));
+      ColumnId rhs = ColumnId::Make(StrCat({"rel", std::to_string(rng() % 3)}),
+                                    StrCat({"c", std::to_string(rng() % 4)}));
       return PrimitiveTerm::MakeColCol(
           col, static_cast<CompareOp>(rng() % 6), rhs);
     }

@@ -1,5 +1,8 @@
 #include "types/value.h"
 
+#include <cstdint>
+#include <limits>
+
 #include "gtest/gtest.h"
 #include "types/date.h"
 
@@ -77,6 +80,16 @@ TEST(DateTest, RoundTripAcrossRange) {
     ASSERT_TRUE(days.ok()) << s;
     EXPECT_EQ(DateToString(days.value()), s);
   }
+}
+
+TEST(DateTest, FormatsExtremeDayCounts) {
+  // Every int32_t day count formats in full, far outside the year range
+  // DateFromYmd accepts.
+  EXPECT_EQ(DateToString(std::numeric_limits<int32_t>::max()),
+            "5881580-07-11");
+  EXPECT_EQ(DateToString(std::numeric_limits<int32_t>::min()),
+            "-5877641-06-23");
+  EXPECT_EQ(DateToString(-1), "1969-12-31");
 }
 
 TEST(DateTest, RejectsInvalid) {

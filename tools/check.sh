@@ -3,6 +3,8 @@
 #
 #   tools/check.sh            # run everything available on this machine
 #   tools/check.sh plain      # -Wall -Wextra -Werror build + full ctest
+#   tools/check.sh release    # -DCMAKE_BUILD_TYPE=Release (-O3, NDEBUG)
+#                             # -Werror build + full ctest
 #   tools/check.sh asan       # ASan+UBSan build + full ctest
 #   tools/check.sh tsan       # TSan + ERQ_DEBUG_LOCK_ORDER build +
 #                             # `ctest -L 'concurrency|persist|server'`
@@ -131,6 +133,13 @@ print("reuse smoke: OK (%d hits, %d rows served, %d bytes stored)"
     bad "plain (cache_inspect smoke)"
   fi
   rm -rf "$pdir"
+}
+
+run_release() {
+  # Release: -O3 with NDEBUG, the build benches and users run. Asserts are
+  # compiled out and the optimizer sees more (GCC's -O3 range analysis
+  # raises warnings -O2 does not), so the full suite must pass here too.
+  configure_build_test release -- -DCMAKE_BUILD_TYPE=Release -DERQ_WERROR=ON
 }
 
 run_asan() {
@@ -375,10 +384,12 @@ main() {
   done
   # bench is opt-in (perf snapshot, not a correctness gate). analyze runs
   # after plain so the compile_commands.json it needs already exists.
-  [[ ${#jobs[@]} -eq 0 ]] && jobs=(plain analyze asan tsan clang docs server)
+  [[ ${#jobs[@]} -eq 0 ]] && jobs=(plain release analyze asan tsan clang docs
+                                   server)
   for job in "${jobs[@]}"; do
     case "$job" in
       plain)   run_plain ;;
+      release) run_release ;;
       analyze) run_analyze ;;
       asan)    run_asan ;;
       tsan)    run_tsan ;;
@@ -388,7 +399,7 @@ main() {
       server)  run_server ;;
       bench)   run_bench ;;
       *) echo "unknown job: $job" \
-            "(want plain|analyze|asan|tsan|clang|tidy|docs|server|bench;" \
+            "(want plain|release|analyze|asan|tsan|clang|tidy|docs|server|bench;" \
             "--help for details)" >&2
          exit 2 ;;
     esac
