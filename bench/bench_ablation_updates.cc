@@ -82,7 +82,7 @@ ModeResult RunMode(InvalidationMode mode, uint64_t seed) {
         hot.size() *
         std::pow(std::uniform_real_distribution<double>(0, 1)(rng), 2.0));
     if (idx >= hot.size()) idx = hot.size() - 1;
-    auto outcome = manager.Query(hot[idx].ToSql());
+    auto outcome = manager.Execute(QueryRequest::Sql(hot[idx].ToSql()));
     if (!outcome.ok()) std::abort();
     if (outcome->detected_empty) {
       ++result.detected;

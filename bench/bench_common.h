@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "workload/query_gen.h"
 
 namespace erq::bench {

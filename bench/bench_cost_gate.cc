@@ -47,7 +47,7 @@ Outcome RunStream(double c_cost, bool auto_tune, uint64_t seed) {
     } else {
       sql = empty_sql[rng() % empty_sql.size()];
     }
-    auto outcome = manager.Query(sql);
+    auto outcome = manager.Execute(QueryRequest::Sql(sql));
     if (!outcome.ok()) std::abort();
     out.total_seconds += outcome->timings.check_seconds + outcome->timings.execute_seconds +
                          outcome->timings.record_seconds;

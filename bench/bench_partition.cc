@@ -97,7 +97,8 @@ void BM_ZoneMapSkipping(benchmark::State& state) {
   size_t scanned = 0, pruned = 0, rows = 0;
   int64_t lo = 0;
   for (auto _ : state) {
-    auto outcome = manager.Query(OrderkeyRange(lo, lo + width));
+    auto outcome = manager.Execute(
+        QueryRequest::Sql(OrderkeyRange(lo, lo + width)));
     if (!outcome.ok()) std::abort();
     scanned += outcome->partitions_scanned;
     pruned += outcome->partitions_pruned;
@@ -148,7 +149,7 @@ void BM_StoredFactHitRate(benchmark::State& state) {
                               warm_config);
     if (!warmer.init_status().ok()) std::abort();
     for (size_t i = 0; i < warm; ++i) {
-      auto outcome = warmer.Query(queries[i]);
+      auto outcome = warmer.Execute(QueryRequest::Sql(queries[i]));
       if (!outcome.ok()) std::abort();
       recorded += outcome->partition_aqps_recorded;
     }
@@ -159,7 +160,7 @@ void BM_StoredFactHitRate(benchmark::State& state) {
 
   size_t scanned = 0, pruned = 0, rows = 0, i = 0;
   for (auto _ : state) {
-    auto outcome = manager.Query(queries[i]);
+    auto outcome = manager.Execute(QueryRequest::Sql(queries[i]));
     if (!outcome.ok()) std::abort();
     scanned += outcome->partitions_scanned;
     pruned += outcome->partitions_pruned;
@@ -193,7 +194,7 @@ void BM_PruningAblation(benchmark::State& state) {
   const std::string sql = OrderkeyRange(domain / 3, domain / 3 + domain / 50);
   size_t scanned = 0, pruned = 0, rows = 0;
   for (auto _ : state) {
-    auto outcome = manager.Query(sql);
+    auto outcome = manager.Execute(QueryRequest::Sql(sql));
     if (!outcome.ok()) std::abort();
     scanned += outcome->partitions_scanned;
     pruned += outcome->partitions_pruned;

@@ -92,7 +92,7 @@ void BM_SpliceSpeedup(benchmark::State& state) {
   const std::string sql = PriceBand(2000, 2100);
   size_t spliced = 0, rows = 0;
   for (auto _ : state) {
-    auto outcome = manager.Query(sql);
+    auto outcome = manager.Execute(QueryRequest::Sql(sql));
     if (!outcome.ok()) std::abort();
     spliced += outcome->reused_subtrees;
     rows += outcome->result_rows;
@@ -124,12 +124,12 @@ void BM_ReuseHitRate(benchmark::State& state) {
   }
   const size_t warm = kPool * static_cast<size_t>(hit_pct) / 100;
   for (size_t i = 0; i < warm; ++i) {
-    if (!manager.Query(queries[i]).ok()) std::abort();
+    if (!manager.Execute(QueryRequest::Sql(queries[i])).ok()) std::abort();
   }
 
   size_t spliced = 0, rows = 0, i = 0;
   for (auto _ : state) {
-    auto outcome = manager.Query(queries[i]);
+    auto outcome = manager.Execute(QueryRequest::Sql(queries[i]));
     if (!outcome.ok()) std::abort();
     spliced += outcome->reused_subtrees;
     rows += outcome->result_rows;
@@ -156,11 +156,12 @@ void BM_IntermediateSize(benchmark::State& state) {
   if (!manager.init_status().ok()) std::abort();
 
   const std::string sql = PriceBand(1000, 1000 + static_cast<double>(width));
-  if (!manager.Query(sql).ok()) std::abort();  // harvest outside the timing
+  // Harvest outside the timing.
+  if (!manager.Execute(QueryRequest::Sql(sql)).ok()) std::abort();
 
   size_t spliced = 0, rows = 0;
   for (auto _ : state) {
-    auto outcome = manager.Query(sql);
+    auto outcome = manager.Execute(QueryRequest::Sql(sql));
     if (!outcome.ok()) std::abort();
     spliced += outcome->reused_subtrees;
     rows += outcome->result_rows;
@@ -193,7 +194,7 @@ void BM_BudgetSweep(benchmark::State& state) {
   }
   size_t spliced = 0, rows = 0, i = 0;
   for (auto _ : state) {
-    auto outcome = manager.Query(queries[i]);
+    auto outcome = manager.Execute(QueryRequest::Sql(queries[i]));
     if (!outcome.ok()) std::abort();
     spliced += outcome->reused_subtrees;
     rows += outcome->result_rows;
@@ -222,9 +223,8 @@ void BM_MissPath(benchmark::State& state) {
   size_t spliced = 0, rows = 0;
   int64_t lo = 0;
   for (auto _ : state) {
-    auto outcome =
-        manager.Query(PriceBand(static_cast<double>(lo),
-                                static_cast<double>(lo) + 50.0));
+    auto outcome = manager.Execute(QueryRequest::Sql(
+        PriceBand(static_cast<double>(lo), static_cast<double>(lo) + 50.0)));
     if (!outcome.ok()) std::abort();
     spliced += outcome->reused_subtrees;
     rows += outcome->result_rows;

@@ -30,7 +30,7 @@ int main() {
     EmptyResultManager manager(env.catalog.get(), env.stats.get(), erc);
     double check = 0, record = 0, exec = 0;
     for (const TraceQuery& q : trace) {
-      auto outcome = manager.Query(q.sql);
+      auto outcome = manager.Execute(QueryRequest::Sql(q.sql));
       if (!outcome.ok() || outcome->result_empty != q.expect_empty) {
         std::fprintf(stderr, "replay failure on: %s\n", q.sql.c_str());
         return 1;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/manager.h"
+#include "core/query_api.h"
 
 using namespace erq;
 
@@ -63,7 +64,7 @@ int main() {
     auto start = std::chrono::steady_clock::now();
     size_t executed = 0, detected = 0, anomalies = 0;
     for (const std::string& sql : probes) {
-      auto outcome = manager.Query(sql);
+      auto outcome = manager.Execute(QueryRequest::Sql(sql));
       if (!outcome.ok()) {
         std::fprintf(stderr, "probe failed: %s\n",
                      outcome.status().ToString().c_str());

@@ -10,6 +10,7 @@
 #include <cstdlib>
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "workload/trace.h"
 
 using namespace erq;
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
 
   double check_seconds = 0, exec_seconds = 0, record_seconds = 0;
   for (const TraceQuery& q : trace) {
-    auto outcome = manager.Query(q.sql);
+    auto outcome = manager.Execute(QueryRequest::Sql(q.sql));
     if (!outcome.ok()) {
       std::fprintf(stderr, "query failed: %s\n%s\n",
                    outcome.status().ToString().c_str(), q.sql.c_str());

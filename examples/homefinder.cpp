@@ -12,6 +12,7 @@
 #include <random>
 
 #include "core/manager.h"
+#include "core/query_api.h"
 
 using namespace erq;
 
@@ -47,7 +48,7 @@ int main() {
 
   auto slide = [&](const char* gesture, const std::string& where) {
     std::string sql = "select * from listings where " + where;
-    auto outcome = manager.Query(sql);
+    auto outcome = manager.Execute(QueryRequest::Sql(sql));
     if (!outcome.ok()) {
       std::fprintf(stderr, "%s\n", outcome.status().ToString().c_str());
       std::exit(1);

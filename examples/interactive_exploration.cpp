@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "types/date.h"
 #include "workload/query_gen.h"
 
@@ -64,7 +65,7 @@ int main() {
               part.c_str(), date.c_str());
 
   auto query = [&](const char* step, const std::string& sql) {
-    auto outcome = manager.Query(sql);
+    auto outcome = manager.Execute(QueryRequest::Sql(sql));
     if (!outcome.ok()) {
       std::fprintf(stderr, "query failed: %s\n",
                    outcome.status().ToString().c_str());

@@ -43,7 +43,7 @@ int main() {
   EmptyResultManager manager(&catalog, &stats, config);
 
   auto run = [&](const char* sql) {
-    // The value-type request API; Query(sql) remains as a shorthand.
+    // The value-type request API: one QueryRequest in, one outcome out.
     auto outcome = manager.Execute(QueryRequest::Sql(sql));
     if (!outcome.ok()) {
       std::fprintf(stderr, "%s\n",

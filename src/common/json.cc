@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -40,13 +41,27 @@ std::string JsonQuote(const std::string& s) {
 }
 
 std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
-  if (v == static_cast<double>(static_cast<int64_t>(v)) && std::abs(v) < 1e15) {
-    return std::to_string(static_cast<int64_t>(v));
+  std::string out;
+  AppendJsonNumber(v, &out);
+  return out;
+}
+
+void AppendJsonNumber(double v, std::string* out) {
+  if (!std::isfinite(v)) {  // JSON has no inf/nan
+    out->append("null");
+    return;
   }
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  // The range test comes first: casting an out-of-range double to int64
+  // is undefined.
+  if (std::abs(v) < 1e15 && v == static_cast<double>(static_cast<int64_t>(v))) {
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), static_cast<int64_t>(v));
+    out->append(buf, r.ptr);
+    return;
+  }
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out->append(buf, static_cast<size_t>(n));
 }
 
 const JsonValue* JsonValue::Find(const std::string& key) const {

@@ -29,6 +29,9 @@ std::string JsonQuote(const std::string& s);
 /// JSON cannot represent) render as null.
 std::string JsonNumber(double v);
 
+/// Appends JsonNumber(v) to `out` without building a temporary string.
+void AppendJsonNumber(double v, std::string* out);
+
 /// A parsed JSON document node. Numbers are stored as doubles (every
 /// integer the wire protocol carries — row limits, batch sizes — is well
 /// below the 2^53 exactness bound). Object member order is not preserved.

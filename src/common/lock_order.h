@@ -38,12 +38,13 @@
 ///                     mutex calls the persistence listener while held
 ///   Epoch (24)        EpochManager's limbo lists; Retire() runs under a
 ///                     shard mutex
-///   MvCache (30)      MV-baseline store; same listener pattern
+///   MvCache (30)      MV-baseline store (memory-only); calls into no
+///                     other module
 ///   StatsCatalog (40) optimizer statistics; leaf within the query path
 ///   Table (44)        one table's row-store mutations + partition/zone-map
 ///                     state; short critical sections that call into no
 ///                     other module (snapshot readers copy a shared_ptr)
-///   Persistence (50)  durable mirror + journal; acquired under either
+///   Persistence (50)  durable mirror + journal; acquired under the C_aqp
 ///                     cache's lock, and itself held across IO seams
 ///   FailPoint (60)    fault-injection registry, consulted at IO
 ///                     boundaries under the persistence lock

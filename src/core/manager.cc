@@ -1,18 +1,14 @@
 #include "core/manager.h"
 
 #include <cstdio>
+#include <iterator>
+#include <utility>
 
 #include "core/query_api.h"
 
 namespace erq {
 
 namespace {
-
-std::string FormatSeconds(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3fms", seconds * 1e3);
-  return buf;
-}
 
 // Adapts the detector's (relation, partition) coverage probe to the
 // executor-layer oracle interface, so erq_exec needs no knowledge of the
@@ -62,6 +58,22 @@ void CollectReuseServed(const PhysOpPtr& root, size_t* subtrees,
   }
 }
 
+// Every ManagerStats event count with its erq.manager.* counter (nullptr:
+// the count lives in ManagerStats only). Publish walks this one list, so a
+// count and its counter cannot drift apart.
+constexpr std::pair<uint64_t ManagerStats::*, const char*> kEventCounts[] = {
+    {&ManagerStats::queries, "erq.manager.queries"},
+    {&ManagerStats::low_cost, "erq.manager.low_cost"},
+    {&ManagerStats::checks, "erq.manager.checks"},
+    {&ManagerStats::detected_empty, "erq.manager.detected_empty"},
+    {&ManagerStats::executed, "erq.manager.executed"},
+    {&ManagerStats::empty_results, "erq.manager.empty_results"},
+    {&ManagerStats::recorded, "erq.manager.recorded"},
+    {&ManagerStats::branches_pruned, "erq.manager.branches_pruned"},
+    {&ManagerStats::reused_subtrees, nullptr},
+    {&ManagerStats::intermediates_harvested, nullptr},
+};
+
 // Injects the reuse store into the optimizer's options at manager
 // construction (the store pointer is stable for the manager's lifetime).
 OptimizerOptions WithReuseSource(OptimizerOptions options,
@@ -73,14 +85,13 @@ OptimizerOptions WithReuseSource(OptimizerOptions options,
 }  // namespace
 
 std::string QueryOutcome::Timings::ToString() const {
-  std::string out = "parse=" + FormatSeconds(parse_seconds);
-  out += " plan=" + FormatSeconds(plan_seconds);
-  out += " optimize=" + FormatSeconds(optimize_seconds);
-  out += " gate=" + FormatSeconds(gate_seconds);
-  out += " check=" + FormatSeconds(check_seconds);
-  out += " execute=" + FormatSeconds(execute_seconds);
-  out += " record=" + FormatSeconds(record_seconds);
-  out += " total=" + FormatSeconds(total_seconds);
+  std::string out;
+  ForEachStage([&out](const char* stage, double seconds) {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%s%s=%.3fms", out.empty() ? "" : " ",
+                  stage, seconds * 1e3);
+    out += buf;
+  });
   return out;
 }
 
@@ -105,14 +116,9 @@ EmptyResultManager::Instruments EmptyResultManager::ResolveInstruments() {
   m.stage_execute = r.GetHistogram("erq.manager.stage.execute");
   m.stage_record = r.GetHistogram("erq.manager.stage.record");
   m.query_total = r.GetHistogram("erq.manager.query_total");
-  m.queries = r.GetCounter("erq.manager.queries");
-  m.low_cost = r.GetCounter("erq.manager.low_cost");
-  m.checks = r.GetCounter("erq.manager.checks");
-  m.detected_empty = r.GetCounter("erq.manager.detected_empty");
-  m.executed = r.GetCounter("erq.manager.executed");
-  m.empty_results = r.GetCounter("erq.manager.empty_results");
-  m.recorded = r.GetCounter("erq.manager.recorded");
-  m.branches_pruned = r.GetCounter("erq.manager.branches_pruned");
+  for (const auto& [field, name] : kEventCounts) {
+    m.event_counters.push_back(name != nullptr ? r.GetCounter(name) : nullptr);
+  }
   return m;
 }
 
@@ -192,20 +198,6 @@ EmptyResultManager::EmptyResultManager(Catalog* catalog, StatsCatalog* stats,
   });
 }
 
-StatusOr<QueryOutcome> EmptyResultManager::Query(const std::string& sql) {
-  return Execute(QueryRequest::Sql(sql));
-}
-
-StatusOr<QueryOutcome> EmptyResultManager::QueryStatement(
-    const Statement& stmt) {
-  return Execute(QueryRequest::Parsed(&stmt));
-}
-
-std::vector<StatusOr<QueryOutcome>> EmptyResultManager::QueryBatch(
-    const std::vector<std::string>& sqls) {
-  return ExecuteBatch(QueryRequest::Batch(sqls));
-}
-
 StatusOr<QueryOutcome> EmptyResultManager::Execute(
     const QueryRequest& request) {
   ERQ_RETURN_IF_ERROR(init_status_);
@@ -213,25 +205,31 @@ StatusOr<QueryOutcome> EmptyResultManager::Execute(
     return Status::InvalidArgument(
         "QueryRequest with a batch must go through ExecuteBatch");
   }
-  if (request.statement != nullptr && !request.sql.empty()) {
-    return Status::InvalidArgument(
-        "QueryRequest must set exactly one of sql / statement / batch");
-  }
-  if (request.statement != nullptr) {
-    return ExecuteStatement(*request.statement);
-  }
-  // The sql form; an empty string falls through to the parser so the
-  // caller sees the same ParseError the pre-request API produced.
+  // An empty string falls through to the parser, so the caller sees its
+  // ParseError rather than a request-validation error.
   double parse_seconds = 0.0;
   std::unique_ptr<Statement> stmt;
   {
     ScopedSpan span(metrics_.stage_parse, &parse_seconds);
     ERQ_ASSIGN_OR_RETURN(stmt, Parser::Parse(request.sql));
   }
-  ERQ_ASSIGN_OR_RETURN(QueryOutcome outcome, ExecuteStatement(*stmt));
-  outcome.timings.parse_seconds = parse_seconds;
-  outcome.timings.total_seconds += parse_seconds;
-  return outcome;
+  PreparedStatement prep;
+  Status status = PrepareInto(*stmt, &prep);
+  const bool gated = status.ok();
+  if (gated) {
+    // §2.2: only high-cost queries are worth checking against C_aqp.
+    std::optional<CheckResult> check;
+    if (config_.detection_enabled && prep.outcome.high_cost) {
+      ScopedSpan span(nullptr, &prep.outcome.timings.check_seconds);
+      check = detector_.CheckEmpty(prep.planned.root);
+    }
+    status = FinishChecked(&prep, std::move(check));
+  }
+  Publish(prep.outcome, gated);
+  ERQ_RETURN_IF_ERROR(status);
+  prep.outcome.timings.parse_seconds = parse_seconds;
+  prep.outcome.timings.total_seconds += parse_seconds;
+  return std::move(prep.outcome);
 }
 
 StatusOr<PhysOpPtr> EmptyResultManager::Prepare(const std::string& sql) {
@@ -243,11 +241,6 @@ StatusOr<PhysOpPtr> EmptyResultManager::Prepare(const std::string& sql) {
 
 Status EmptyResultManager::PrepareInto(const Statement& stmt,
                                        PreparedStatement* prep) {
-  metrics_.queries->Increment();
-  {
-    MutexLock lock(&mu_);
-    ++stats_.queries;
-  }
   QueryOutcome& outcome = prep->outcome;
   {
     ScopedSpan span(nullptr, &outcome.timings.plan_seconds);
@@ -262,32 +255,7 @@ Status EmptyResultManager::PrepareInto(const Statement& stmt,
     ScopedSpan span(nullptr, &outcome.timings.gate_seconds);
     outcome.high_cost = outcome.estimated_cost > EffectiveCostThreshold();
   }
-  if (!outcome.high_cost) {
-    metrics_.low_cost->Increment();
-    MutexLock lock(&mu_);
-    ++stats_.low_cost;
-  }
   return Status::OK();
-}
-
-StatusOr<QueryOutcome> EmptyResultManager::ExecuteStatement(
-    const Statement& stmt) {
-  ERQ_RETURN_IF_ERROR(init_status_);
-  PreparedStatement prep;
-  ERQ_RETURN_IF_ERROR(PrepareInto(stmt, &prep));
-
-  // §2.2: only high-cost queries are worth checking against C_aqp.
-  std::optional<CheckResult> check;
-  if (config_.detection_enabled && prep.outcome.high_cost) {
-    {
-      ScopedSpan span(nullptr, &prep.outcome.timings.check_seconds);
-      check = detector_.CheckEmpty(prep.planned.root);
-    }
-    metrics_.checks->Increment();
-    MutexLock lock(&mu_);
-    ++stats_.checks;
-  }
-  return FinishChecked(std::move(prep), std::move(check));
 }
 
 std::vector<StatusOr<QueryOutcome>> EmptyResultManager::ExecuteBatch(
@@ -295,9 +263,9 @@ std::vector<StatusOr<QueryOutcome>> EmptyResultManager::ExecuteBatch(
   const std::vector<std::string>& sqls = request.batch;
   std::vector<StatusOr<QueryOutcome>> out;
   out.reserve(sqls.size());
-  if (request.statement != nullptr || !request.sql.empty()) {
+  if (!request.sql.empty()) {
     out.emplace_back(Status::InvalidArgument(
-        "ExecuteBatch takes a batch request; use Execute for sql/statement"));
+        "ExecuteBatch takes a batch request; use Execute for sql"));
     return out;
   }
   if (!init_status_.ok()) {
@@ -330,6 +298,7 @@ std::vector<StatusOr<QueryOutcome>> EmptyResultManager::ExecuteBatch(
     }
     Status prepared = PrepareInto(*stmt, &p.prep);
     if (!prepared.ok()) {
+      Publish(p.prep.outcome, /*gated=*/false);
       results[i] = std::move(prepared);
       continue;
     }
@@ -370,20 +339,20 @@ std::vector<StatusOr<QueryOutcome>> EmptyResultManager::ExecuteBatch(
       verdicts[checked[j]] = batch[j];
       pending[checked[j]].prep.outcome.timings.check_seconds = share;
     }
-    metrics_.checks->Increment(checked.size());
-    MutexLock lock(&mu_);
-    stats_.checks += checked.size();
   }
 
   // Phase 3: finish each query independently, in input order.
   for (Pending& p : pending) {
-    StatusOr<QueryOutcome> finished =
-        FinishChecked(std::move(p.prep), verdicts[&p - pending.data()]);
-    if (finished.ok()) {
-      finished->timings.parse_seconds = p.parse_seconds;
-      finished->timings.total_seconds += p.parse_seconds;
+    QueryOutcome& outcome = p.prep.outcome;
+    Status finished = FinishChecked(&p.prep, verdicts[&p - pending.data()]);
+    Publish(outcome, /*gated=*/true);
+    if (!finished.ok()) {
+      results[p.index] = std::move(finished);
+      continue;
     }
-    results[p.index] = std::move(finished);
+    outcome.timings.parse_seconds = p.parse_seconds;
+    outcome.timings.total_seconds += p.parse_seconds;
+    results[p.index] = std::move(outcome);
   }
   for (std::optional<StatusOr<QueryOutcome>>& r : results) {
     out.push_back(*std::move(r));
@@ -391,11 +360,10 @@ std::vector<StatusOr<QueryOutcome>> EmptyResultManager::ExecuteBatch(
   return out;
 }
 
-StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
-    PreparedStatement prep, std::optional<CheckResult> check) {
-  QueryOutcome outcome = std::move(prep.outcome);
-  PhysOpPtr physical = std::move(prep.physical);
-  Timer& total_timer = prep.total_timer;
+Status EmptyResultManager::FinishChecked(PreparedStatement* prep,
+                                         std::optional<CheckResult> check) {
+  QueryOutcome& outcome = prep->outcome;
+  PhysOpPtr physical = std::move(prep->physical);
 
   if (check.has_value() && check->provably_empty) {
     outcome.detected_empty = true;
@@ -411,17 +379,9 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
                   check->parts_checked);
     explanation.minimal_causes.push_back(cause);
     outcome.explanation = std::move(explanation);
-    metrics_.detected_empty->Increment();
-    {
-      MutexLock lock(&mu_);
-      ++stats_.detected_empty;
-      stats_.execute_seconds_saved_estimate += outcome.estimated_cost;
-      cost_gate_.ObserveDetected(outcome.estimated_cost,
-                                 outcome.timings.check_seconds);
-    }
-    outcome.timings.total_seconds = total_timer.Seconds();
+    outcome.timings.total_seconds = prep->total_timer.Seconds();
     ObserveStages(outcome, /*checked=*/true, /*recorded=*/false);
-    return outcome;
+    return Status::OK();
   }
 
   const bool checked = config_.detection_enabled && outcome.high_cost;
@@ -431,14 +391,10 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
     LogicalOpPtr pruned;
     {
       ScopedSpan span(nullptr, &outcome.timings.check_seconds);
-      pruned = detector_.PrunePlan(prep.planned.root, &outcome.branches_pruned);
+      pruned =
+          detector_.PrunePlan(prep->planned.root, &outcome.branches_pruned);
     }
     if (outcome.branches_pruned > 0) {
-      metrics_.branches_pruned->Increment(outcome.branches_pruned);
-      {
-        MutexLock lock(&mu_);
-        stats_.branches_pruned += outcome.branches_pruned;
-      }
       ScopedSpan span(nullptr, &outcome.timings.optimize_seconds);
       ERQ_ASSIGN_OR_RETURN(physical, optimizer_.Optimize(pruned));
     }
@@ -476,18 +432,6 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
   // Operation O1: the plan, with per-operator output cardinalities, is
   // surfaced to the user to explain the (possibly empty) result.
   outcome.plan = physical;
-  metrics_.executed->Increment();
-  if (outcome.result_empty) metrics_.empty_results->Increment();
-
-  {
-    MutexLock lock(&mu_);
-    ++stats_.executed;
-    cost_gate_.ObserveExecuted(outcome.estimated_cost,
-                               outcome.timings.check_seconds,
-                               outcome.timings.execute_seconds,
-                               outcome.result_empty);
-    if (outcome.result_empty) ++stats_.empty_results;
-  }
 
   if (outcome.result_empty) {
     auto explanation = ExplainEmptyResult(physical);
@@ -498,15 +442,8 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
   if (outcome.result_empty && config_.detection_enabled &&
       (outcome.high_cost || config_.record_low_cost)) {
     recorded = true;
-    {
-      ScopedSpan span(nullptr, &outcome.timings.record_seconds);
-      outcome.aqps_recorded = detector_.RecordEmpty(physical);
-    }
-    if (outcome.aqps_recorded > 0) {
-      metrics_.recorded->Increment();
-      MutexLock lock(&mu_);
-      ++stats_.recorded;
-    }
+    ScopedSpan span(nullptr, &outcome.timings.record_seconds);
+    outcome.aqps_recorded = detector_.RecordEmpty(physical);
   }
 
   if (config_.detection_enabled && config_.partition_pruning &&
@@ -525,14 +462,41 @@ StatusOr<QueryOutcome> EmptyResultManager::FinishChecked(
     ScopedSpan span(nullptr, &outcome.timings.record_seconds);
     outcome.intermediates_harvested = HarvestIntermediates(harvested);
   }
-  if (outcome.reused_subtrees > 0 || outcome.intermediates_harvested > 0) {
-    MutexLock lock(&mu_);
-    stats_.reused_subtrees += outcome.reused_subtrees;
-    stats_.intermediates_harvested += outcome.intermediates_harvested;
-  }
-  outcome.timings.total_seconds = total_timer.Seconds();
+  outcome.timings.total_seconds = prep->total_timer.Seconds();
   ObserveStages(outcome, checked, recorded);
-  return outcome;
+  return Status::OK();
+}
+
+void EmptyResultManager::Publish(const QueryOutcome& outcome, bool gated) {
+  ManagerStats events;
+  events.queries = 1;
+  events.low_cost = gated && !outcome.high_cost;
+  events.checks = gated && config_.detection_enabled && outcome.high_cost;
+  events.detected_empty = outcome.detected_empty;
+  events.executed = outcome.executed;
+  events.empty_results = outcome.executed && outcome.result_empty;
+  events.recorded = outcome.aqps_recorded > 0;
+  events.branches_pruned = outcome.branches_pruned;
+  events.reused_subtrees = outcome.reused_subtrees;
+  events.intermediates_harvested = outcome.intermediates_harvested;
+  for (size_t i = 0; i < std::size(kEventCounts); ++i) {
+    const uint64_t n = events.*kEventCounts[i].first;
+    if (n > 0 && metrics_.event_counters[i] != nullptr) {
+      metrics_.event_counters[i]->Increment(n);
+    }
+  }
+  MutexLock lock(&mu_);
+  for (const auto& [field, name] : kEventCounts) stats_.*field += events.*field;
+  if (outcome.detected_empty) {
+    stats_.execute_seconds_saved_estimate += outcome.estimated_cost;
+    cost_gate_.ObserveDetected(outcome.estimated_cost,
+                               outcome.timings.check_seconds);
+  } else if (outcome.executed) {
+    cost_gate_.ObserveExecuted(outcome.estimated_cost,
+                               outcome.timings.check_seconds,
+                               outcome.timings.execute_seconds,
+                               outcome.result_empty);
+  }
 }
 
 void EmptyResultManager::ObserveStages(const QueryOutcome& outcome,

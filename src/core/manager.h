@@ -25,21 +25,78 @@
 
 namespace erq {
 
+/// The per-query scalar facts, declared once. QueryOutcome (the engine's
+/// result) and QueryResponse (the wire value, core/query_api.h) both
+/// derive from it, and ForEachField is the one field list that the
+/// `erq.response.v1` "outcome" object and the tests walk.
+struct QueryCounters {
+  bool detected_empty = false;  ///< skipped execution via C_aqp
+  bool executed = false;        ///< the plan actually ran
+  bool result_empty = false;    ///< final result set was empty
+  bool high_cost = false;       ///< estimated_cost > C_cost
+  size_t result_rows = 0;       ///< rows returned (0 when skipped)
+  size_t aqps_recorded = 0;     ///< atomic query parts stored after execution
+  size_t branches_pruned = 0;   ///< §2.5 partial detection: set-op branches
+                                ///< proven empty and removed before execution
+  size_t partitions_scanned = 0;  ///< partitions actually read by table scans
+  size_t partitions_pruned = 0;   ///< partitions skipped via zone maps or
+                                  ///< stored (relation, partition) knowledge
+  size_t partition_aqps_recorded = 0;  ///< (relation, partition) parts stored
+                                       ///< from zero-match scanned partitions
+  size_t reused_subtrees = 0;    ///< plan subtrees replaced by spliced
+                                 ///< reuse-store entries (CachedResultScan)
+  size_t reuse_rows_served = 0;  ///< rows those spliced scans emitted
+  size_t intermediates_harvested = 0;  ///< operator outputs admitted into
+                                       ///< the reuse store after execution
+  double estimated_cost = 0.0;  ///< optimizer cost estimate for the plan
+
+  /// Calls `f(name, field)` for every field above, in declaration order;
+  /// `name` is the field's `erq.response.v1` key and `field` a reference
+  /// (const in the const overload) to a bool, size_t, or double.
+  template <typename F>
+  void ForEachField(F&& f) const {
+    Visit(*this, f);
+  }
+  /// Mutable overload: lets callers write every field through one list.
+  template <typename F>
+  void ForEachField(F&& f) {
+    Visit(*this, f);
+  }
+
+ private:
+  template <typename Self, typename F>
+  static void Visit(Self& s, F& f) {
+    f("detected_empty", s.detected_empty);
+    f("executed", s.executed);
+    f("result_empty", s.result_empty);
+    f("high_cost", s.high_cost);
+    f("result_rows", s.result_rows);
+    f("aqps_recorded", s.aqps_recorded);
+    f("branches_pruned", s.branches_pruned);
+    f("partitions_scanned", s.partitions_scanned);
+    f("partitions_pruned", s.partitions_pruned);
+    f("partition_aqps_recorded", s.partition_aqps_recorded);
+    f("reused_subtrees", s.reused_subtrees);
+    f("reuse_rows_served", s.reuse_rows_served);
+    f("intermediates_harvested", s.intermediates_harvested);
+    f("estimated_cost", s.estimated_cost);
+  }
+};
+
 /// Result of submitting one query through the managed workflow.
 ///
-/// Structured API: stage timings live in `timings` (one field per pipeline
-/// span, mirroring the `erq.manager.stage.*` histograms), the executed or
-/// detected plan is exposed as the plan object itself (`plan`), and empty
-/// results carry a structured `explanation` (Operation O1). ToString()
-/// renders the whole outcome as text for callers that used to consume
-/// `plan_text` + loose seconds fields.
-struct QueryOutcome {
+/// Structured API: the scalar facts come from QueryCounters, stage
+/// timings live in `timings` (one field per pipeline span, mirroring the
+/// `erq.manager.stage.*` histograms), the executed or detected plan is
+/// exposed as the plan object itself (`plan`), and empty results carry a
+/// structured `explanation` (Operation O1). ToString() renders the whole
+/// outcome as text.
+struct QueryOutcome : QueryCounters {
   /// Per-stage wall-clock seconds for this query. Field names match the
   /// span hierarchy in DESIGN.md §"Observability": total covers the whole
-  /// Query()/QueryStatement() call; the stage fields are disjoint
-  /// sub-intervals of it.
+  /// Execute() call; the stage fields are disjoint sub-intervals of it.
   struct Timings {
-    double parse_seconds = 0.0;     ///< SQL text -> Statement (Query() only)
+    double parse_seconds = 0.0;     ///< SQL text -> Statement
     double plan_seconds = 0.0;      ///< Statement -> logical plan
     double optimize_seconds = 0.0;  ///< logical -> physical (incl. re-opt
                                     ///< after §2.5 pruning)
@@ -62,29 +119,23 @@ struct QueryOutcome {
              check_seconds + execute_seconds + record_seconds;
     }
 
+    /// Calls `f(stage, seconds)` for every field above, in declaration
+    /// order; `stage` is the field name without its "_seconds" suffix.
+    template <typename F>
+    void ForEachStage(F&& f) const {
+      f("parse", parse_seconds);
+      f("plan", plan_seconds);
+      f("optimize", optimize_seconds);
+      f("gate", gate_seconds);
+      f("check", check_seconds);
+      f("execute", execute_seconds);
+      f("record", record_seconds);
+      f("total", total_seconds);
+    }
+
     /// One-line rendering of the stage timings.
     std::string ToString() const;
   };
-
-  bool detected_empty = false;  ///< skipped execution via C_aqp
-  bool executed = false;        ///< the plan actually ran
-  bool result_empty = false;    ///< final result set was empty
-  size_t result_rows = 0;       ///< rows returned (0 when skipped)
-  size_t aqps_recorded = 0;     ///< atomic query parts stored after execution
-  size_t branches_pruned = 0;   ///< §2.5 partial detection: set-op branches
-                                ///< proven empty and removed before execution
-  size_t partitions_scanned = 0;  ///< partitions actually read by table scans
-  size_t partitions_pruned = 0;   ///< partitions skipped via zone maps or
-                                  ///< stored (relation, partition) knowledge
-  size_t partition_aqps_recorded = 0;  ///< (relation, partition) parts stored
-                                       ///< from zero-match scanned partitions
-  size_t reused_subtrees = 0;    ///< plan subtrees replaced by spliced
-                                 ///< reuse-store entries (CachedResultScan)
-  size_t reuse_rows_served = 0;  ///< rows those spliced scans emitted
-  size_t intermediates_harvested = 0;  ///< operator outputs admitted into
-                                       ///< the reuse store after execution
-  double estimated_cost = 0.0;  ///< optimizer cost estimate for the plan
-  bool high_cost = false;       ///< estimated_cost > C_cost
 
   ExecutionResult result;  ///< rows (empty when detected_empty)
 
@@ -115,7 +166,7 @@ struct QueryRequest;
 
 /// Aggregate counters across a query stream.
 struct ManagerStats {
-  uint64_t queries = 0;         ///< Query()/QueryStatement() calls
+  uint64_t queries = 0;         ///< statements that reached the planner
   uint64_t low_cost = 0;        ///< queries below the C_cost gate
   uint64_t checks = 0;          ///< queries that paid a C_aqp check
   uint64_t detected_empty = 0;  ///< detection hits (execution skipped)
@@ -150,7 +201,7 @@ struct ManagerStats {
 /// Thread safety: the manager's own mutable state — the aggregate
 /// counters and the adaptive cost gate — is guarded by `mu_`, and the
 /// C_aqp collection inside the detector is internally synchronized, so
-/// concurrent sessions may issue Query()/QueryStatement() calls on one
+/// concurrent sessions may issue Execute()/ExecuteBatch() calls on one
 /// manager. Accessors ending in `_snapshot()` return value-type copies
 /// taken under the lock — never live references. The planner, optimizer,
 /// and catalog are thread-compatible (read-only here); concurrent catalog
@@ -169,14 +220,16 @@ class EmptyResultManager {
   /// non-OK status every entry point returns this error.
   const Status& init_status() const { return init_status_; }
 
-  /// Primary entry point: full workflow for one single-statement
-  /// QueryRequest (`sql` or `statement` form; batch requests belong to
-  /// ExecuteBatch). The request's wire-presentation fields (row_limit,
-  /// explain, tenant) do not affect the engine — they are consumed when
-  /// the outcome is turned into a QueryResponse.
+  /// Full workflow for one `sql` QueryRequest. A request carrying a
+  /// batch is rejected (InvalidArgument; batches belong to ExecuteBatch).
+  /// Execute does not call QueryRequest::Validate(): an empty `sql`
+  /// reaches the parser and returns its ParseError. The request's
+  /// wire-presentation fields (row_limit, explain, tenant) do not affect
+  /// the engine — they are consumed when the outcome is turned into a
+  /// QueryResponse.
   ERQ_NODISCARD StatusOr<QueryOutcome> Execute(const QueryRequest& request);
 
-  /// Primary entry point for a batch request, returned in input order
+  /// Full workflow for a `batch` QueryRequest, returned in input order
   /// (one StatusOr per query: a parse/plan error in one statement does
   /// not fail the rest — every item carries the same structured Status
   /// codes the single path produces). Each query is parsed and prepared
@@ -187,20 +240,9 @@ class EmptyResultManager {
   /// the single path. Per-query `check_seconds` attributes the batch
   /// check time in proportion to each query's parts_checked (see
   /// QueryOutcome::Timings). An empty `request.batch` yields an empty
-  /// vector.
+  /// vector; a request carrying `sql` yields one InvalidArgument item.
   std::vector<StatusOr<QueryOutcome>> ExecuteBatch(
       const QueryRequest& request);
-
-  /// Full workflow for a SQL string. Thin wrapper over Execute().
-  ERQ_NODISCARD StatusOr<QueryOutcome> Query(const std::string& sql);
-
-  /// Full workflow for a parsed statement. Thin wrapper over Execute().
-  ERQ_NODISCARD StatusOr<QueryOutcome> QueryStatement(const Statement& stmt);
-
-  /// Full workflow for a batch of SQL strings. Thin wrapper over
-  /// ExecuteBatch().
-  std::vector<StatusOr<QueryOutcome>> QueryBatch(
-      const std::vector<std::string>& sqls);
 
   /// Plans and optimizes without the detection workflow (for tools/tests).
   ERQ_NODISCARD StatusOr<PhysOpPtr> Prepare(const std::string& sql);
@@ -256,14 +298,9 @@ class EmptyResultManager {
     Histogram* stage_execute;
     Histogram* stage_record;
     Histogram* query_total;
-    Counter* queries;
-    Counter* low_cost;
-    Counter* checks;
-    Counter* detected_empty;
-    Counter* executed;
-    Counter* empty_results;
-    Counter* recorded;
-    Counter* branches_pruned;
+    /// The erq.manager.* counter of each ManagerStats event count, in
+    /// the order of manager.cc's kEventCounts (nullptr: no counter).
+    std::vector<Counter*> event_counters;
   };
   static Instruments ResolveInstruments();
 
@@ -278,20 +315,25 @@ class EmptyResultManager {
     Timer total_timer;
   };
 
-  /// Full workflow for one already-parsed statement (the single-query
-  /// pipeline behind Execute's sql and statement forms).
-  StatusOr<QueryOutcome> ExecuteStatement(const Statement& stmt);
-
   /// plan -> optimize -> cost gate (the pipeline prefix shared by
-  /// ExecuteStatement and ExecuteBatch). Counts the query and fills
-  /// `prep->outcome`'s cost/gate fields and stage timings.
+  /// Execute and ExecuteBatch). Fills `prep->outcome`'s
+  /// cost/gate fields and stage timings; an error means the gate never
+  /// ran.
   Status PrepareInto(const Statement& stmt, PreparedStatement* prep);
 
   /// The pipeline suffix: consume a detection verdict (nullopt when the
   /// query never reached the check — low-cost or detection disabled),
-  /// then prune/re-optimize, execute, explain, and harvest.
-  StatusOr<QueryOutcome> FinishChecked(PreparedStatement prep,
-                                       std::optional<CheckResult> check);
+  /// then prune/re-optimize, execute, explain, and harvest, filling
+  /// `prep->outcome` in place.
+  Status FinishChecked(PreparedStatement* prep,
+                       std::optional<CheckResult> check);
+
+  /// Counts one query that reached the planner — the one place manager
+  /// events are counted. Derives the events from `outcome` (finished, or
+  /// cut short by an error; `gated` says whether the cost gate ran), adds
+  /// them to the erq.manager.* counters, and feeds stats_ and the
+  /// cost-gate model under a single acquisition of mu_.
+  void Publish(const QueryOutcome& outcome, bool gated) ERQ_EXCLUDES(mu_);
 
   /// Observes the stage histograms once for a finished query, from its
   /// accumulated timings: plan, optimize, gate, and query_total always;

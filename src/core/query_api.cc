@@ -1,5 +1,6 @@
 #include "core/query_api.h"
 
+#include <charconv>
 #include <cstdio>
 
 #include "common/json.h"
@@ -27,17 +28,22 @@ std::string ValueToJson(const Value& v) {
   return "null";
 }
 
+/// Appends one QueryCounters field (or a response-only scalar) as JSON.
+void AppendJsonValue(bool v, std::string* out) {
+  out->append(v ? "true" : "false");
+}
+void AppendJsonValue(size_t v, std::string* out) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+void AppendJsonValue(double v, std::string* out) { AppendJsonNumber(v, out); }
+
 }  // namespace
 
 QueryRequest QueryRequest::Sql(std::string sql) {
   QueryRequest out;
   out.sql = std::move(sql);
-  return out;
-}
-
-QueryRequest QueryRequest::Parsed(const Statement* statement) {
-  QueryRequest out;
-  out.statement = statement;
   return out;
 }
 
@@ -48,16 +54,14 @@ QueryRequest QueryRequest::Batch(std::vector<std::string> sqls) {
 }
 
 Status QueryRequest::Validate() const {
-  const int forms = (sql.empty() ? 0 : 1) + (statement != nullptr ? 1 : 0) +
-                    (batch.empty() ? 0 : 1);
-  if (forms == 0) {
+  if (sql.empty() && batch.empty()) {
     return Status::InvalidArgument(
-        "QueryRequest needs exactly one input form: sql, statement, or "
-        "batch (all three are empty)");
+        "QueryRequest needs exactly one input form: sql or batch (both are "
+        "empty)");
   }
-  if (forms > 1) {
+  if (!sql.empty() && !batch.empty()) {
     return Status::InvalidArgument(
-        "QueryRequest must set exactly one of sql / statement / batch");
+        "QueryRequest must set exactly one of sql / batch, not both");
   }
   switch (explain) {
     case ExplainVerbosity::kNone:
@@ -74,20 +78,7 @@ Status QueryRequest::Validate() const {
 QueryResponse QueryResponse::FromOutcome(const QueryOutcome& outcome,
                                          const QueryRequest& request) {
   QueryResponse out;
-  out.detected_empty = outcome.detected_empty;
-  out.executed = outcome.executed;
-  out.result_empty = outcome.result_empty;
-  out.high_cost = outcome.high_cost;
-  out.result_rows = outcome.result_rows;
-  out.aqps_recorded = outcome.aqps_recorded;
-  out.branches_pruned = outcome.branches_pruned;
-  out.partitions_scanned = outcome.partitions_scanned;
-  out.partitions_pruned = outcome.partitions_pruned;
-  out.partition_aqps_recorded = outcome.partition_aqps_recorded;
-  out.reused_subtrees = outcome.reused_subtrees;
-  out.reuse_rows_served = outcome.reuse_rows_served;
-  out.intermediates_harvested = outcome.intermediates_harvested;
-  out.estimated_cost = outcome.estimated_cost;
+  static_cast<QueryCounters&>(out) = outcome;
   out.timings = outcome.timings;
   for (const BoundColumn& c : outcome.result.layout.columns()) {
     out.columns.push_back(c.column);
@@ -133,38 +124,24 @@ std::string QueryResponse::ToJson() const {
     out += "}";
     return out;
   }
-  out += ",\"outcome\":{\"detected_empty\":";
-  out += detected_empty ? "true" : "false";
-  out += ",\"executed\":";
-  out += executed ? "true" : "false";
-  out += ",\"result_empty\":";
-  out += result_empty ? "true" : "false";
-  out += ",\"high_cost\":";
-  out += high_cost ? "true" : "false";
-  out += ",\"result_rows\":" + std::to_string(result_rows);
-  out += ",\"returned_rows\":" + std::to_string(rows.size());
+  out += ",\"outcome\":{\"returned_rows\":";
+  AppendJsonValue(rows.size(), &out);
   out += ",\"rows_truncated\":";
-  out += rows_truncated ? "true" : "false";
-  out += ",\"aqps_recorded\":" + std::to_string(aqps_recorded);
-  out += ",\"branches_pruned\":" + std::to_string(branches_pruned);
-  out += ",\"partitions_scanned\":" + std::to_string(partitions_scanned);
-  out += ",\"partitions_pruned\":" + std::to_string(partitions_pruned);
-  out += ",\"partition_aqps_recorded\":" +
-         std::to_string(partition_aqps_recorded);
-  out += ",\"reused_subtrees\":" + std::to_string(reused_subtrees);
-  out += ",\"reuse_rows_served\":" + std::to_string(reuse_rows_served);
-  out += ",\"intermediates_harvested\":" +
-         std::to_string(intermediates_harvested);
-  out += ",\"estimated_cost\":" + JsonNumber(estimated_cost);
+  AppendJsonValue(rows_truncated, &out);
+  ForEachField([&out](const char* name, auto value) {
+    out += ",\"";
+    out += name;
+    out += "\":";
+    AppendJsonValue(value, &out);
+  });
   out += "},\"timings\":{";
-  out += "\"parse_seconds\":" + JsonNumber(timings.parse_seconds);
-  out += ",\"plan_seconds\":" + JsonNumber(timings.plan_seconds);
-  out += ",\"optimize_seconds\":" + JsonNumber(timings.optimize_seconds);
-  out += ",\"gate_seconds\":" + JsonNumber(timings.gate_seconds);
-  out += ",\"check_seconds\":" + JsonNumber(timings.check_seconds);
-  out += ",\"execute_seconds\":" + JsonNumber(timings.execute_seconds);
-  out += ",\"record_seconds\":" + JsonNumber(timings.record_seconds);
-  out += ",\"total_seconds\":" + JsonNumber(timings.total_seconds);
+  timings.ForEachStage([&out](const char* stage, double seconds) {
+    if (out.back() != '{') out += ',';
+    out += '"';
+    out += stage;
+    out += "_seconds\":";
+    AppendJsonNumber(seconds, &out);
+  });
   out += "},\"columns\":[";
   for (size_t i = 0; i < columns.size(); ++i) {
     if (i > 0) out += ',';

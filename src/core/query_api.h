@@ -9,9 +9,14 @@
 /// cannot cross a process boundary. QueryRequest/QueryResponse are the
 /// *wire* surface: plain values with a versioned JSON rendering
 /// (`erq.response.v1`) and one shared text renderer, used by erq_server,
-/// erq_shell, and the examples. EmptyResultManager::Execute/ExecuteBatch
-/// accept a QueryRequest directly; the legacy Query/QueryStatement/
-/// QueryBatch signatures are thin wrappers over them.
+/// erq_shell, and the examples. Both result types derive from
+/// QueryCounters, so each per-query scalar is declared once.
+///
+/// EmptyResultManager::Execute (an `sql` request) and ExecuteBatch (a
+/// `batch` request) are the only query entry points. Neither calls
+/// QueryRequest::Validate(): each rejects the other's form itself, and
+/// Execute hands an empty `sql` to the parser (ParseError). Transport
+/// layers that decode requests from outside (erq_server) call Validate().
 
 #include <cstddef>
 #include <optional>
@@ -31,18 +36,15 @@ enum class ExplainVerbosity {
 };
 
 /// One query submission, as a plain value. Exactly one input form must be
-/// set: `sql` (a single SQL string), `statement` (a pre-parsed statement,
-/// borrowed — the caller keeps it alive for the duration of the call), or
-/// `batch` (several SQL strings sharing one batched C_aqp probe).
+/// set: `sql` (a single SQL string) or `batch` (several SQL strings
+/// sharing one batched C_aqp probe).
 struct QueryRequest {
   /// Default row_limit: enough for interactive use, small enough that a
   /// wire response stays bounded no matter what the query returns.
   static constexpr size_t kDefaultRowLimit = 100;
 
-  /// Single SQL statement text ("" when statement/batch is used).
+  /// Single SQL statement text ("" when batch is used).
   std::string sql;
-  /// Pre-parsed alternative to `sql`; borrowed, may be nullptr.
-  const Statement* statement = nullptr;
   /// Batch mode: several SQL strings checked in one batched C_aqp lookup.
   std::vector<std::string> batch;
   /// Tenant namespace the server routes this request to ("" = the default
@@ -57,47 +59,29 @@ struct QueryRequest {
 
   /// Builds a single-statement request from SQL text.
   static QueryRequest Sql(std::string sql);
-  /// Builds a single-statement request from a pre-parsed statement
-  /// (borrowed; must outlive the Execute call).
-  static QueryRequest Parsed(const Statement* statement);
   /// Builds a batch request.
   static QueryRequest Batch(std::vector<std::string> sqls);
 
-  /// Rejects requests with zero or multiple input forms set, and explain
-  /// values outside the enum. Execute/ExecuteBatch call this and surface
-  /// the Status, so a malformed request fails loudly.
+  /// Rejects requests with zero or both input forms set, and explain
+  /// values outside the enum. For transport layers that build requests
+  /// from untrusted input; Execute/ExecuteBatch do not call it (see the
+  /// file comment).
   ERQ_NODISCARD Status Validate() const;
 };
 
-/// The wire-friendly result of one query: QueryOutcome's scalar fields,
-/// a bounded copy of the result rows, and the explanation rendered to
-/// strings. `status` carries per-query errors — a batch response is a
-/// vector of QueryResponse where each element's status stands alone, so
-/// transport layers map every item to the same structured error object
-/// regardless of whether it came from the single or the batch path.
-struct QueryResponse {
+/// The wire-friendly result of one query: the QueryCounters base shared
+/// with QueryOutcome, a bounded copy of the result rows, and the
+/// explanation rendered to strings. `status` carries per-query errors —
+/// a batch response is a vector of QueryResponse where each element's
+/// status stands alone, so transport layers map every item to the same
+/// structured error object regardless of whether it came from the single
+/// or the batch path.
+struct QueryResponse : QueryCounters {
   /// The versioned wire schema name emitted by ToJson().
   static constexpr const char* kSchema = "erq.response.v1";
 
   /// Per-query status. When not OK every other field is default-empty.
   Status status;
-
-  bool detected_empty = false;   ///< answered from C_aqp, execution skipped
-  bool executed = false;         ///< the physical plan actually ran
-  bool result_empty = false;     ///< final result set was empty
-  bool high_cost = false;        ///< estimated cost exceeded C_cost
-  size_t result_rows = 0;        ///< total rows the query produced
-  size_t aqps_recorded = 0;      ///< atomic parts harvested into C_aqp
-  size_t branches_pruned = 0;    ///< §2.5 set-op branches removed
-  size_t partitions_scanned = 0;  ///< partitions read by the plan's scans
-  size_t partitions_pruned = 0;   ///< partitions skipped via zone maps or
-                                  ///< stored (relation, partition) parts
-  size_t partition_aqps_recorded = 0;  ///< (relation, partition) parts stored
-  size_t reused_subtrees = 0;    ///< plan subtrees served from the reuse store
-  size_t reuse_rows_served = 0;  ///< rows emitted by those spliced scans
-  size_t intermediates_harvested = 0;  ///< operator outputs admitted into
-                                       ///< the reuse store after execution
-  double estimated_cost = 0.0;   ///< optimizer cost estimate
 
   QueryOutcome::Timings timings;  ///< per-stage wall-clock breakdown
 
@@ -126,10 +110,8 @@ struct QueryResponse {
   /// The versioned `erq.response.v1` JSON document:
   ///   {"schema":"erq.response.v1",
   ///    "status":{"code":"OK","message":""},
-  ///    "outcome":{"detected_empty":b,"executed":b,"result_empty":b,
-  ///               "high_cost":b,"result_rows":n,"returned_rows":n,
-  ///               "rows_truncated":b,"aqps_recorded":n,
-  ///               "branches_pruned":n,"estimated_cost":x},
+  ///    "outcome":{"returned_rows":n,"rows_truncated":b,
+  ///               <every QueryCounters field, by its ForEachField name>},
   ///    "timings":{"parse_seconds":x,...,"total_seconds":x},
   ///    "columns":[...], "rows":[[...],...],
   ///    "plan":"...",            // kFull only

@@ -87,33 +87,15 @@ void MvEmptyCache::RecordEmpty(const LogicalOpPtr& root) {
     return;
   }
   while (keys_.size() >= max_views_) {
-    if (listener_ != nullptr) listener_->OnEvict(lru_.back());
     keys_.erase(lru_.back());
     lru_.pop_back();
     ++stats_.evictions;
     MvMetrics::Get().evictions->Increment();
   }
-  if (listener_ != nullptr) listener_->OnStore(key);
   lru_.push_front(key);
   keys_.emplace(std::move(key), lru_.begin());
   ++stats_.stored;
   MvMetrics::Get().stored->Increment();
-}
-
-void MvEmptyCache::RestoreFingerprint(const std::string& fp) {
-  if (fp.empty() || max_views_ == 0) return;
-  MutexLock lock(&mu_);
-  auto it = keys_.find(fp);
-  if (it != keys_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  while (keys_.size() >= max_views_) {
-    keys_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  lru_.push_front(fp);
-  keys_.emplace(fp, lru_.begin());
 }
 
 bool MvEmptyCache::CheckEmpty(const LogicalOpPtr& root) {
@@ -131,7 +113,6 @@ bool MvEmptyCache::CheckEmpty(const LogicalOpPtr& root) {
 
 void MvEmptyCache::Clear() {
   MutexLock lock(&mu_);
-  if (listener_ != nullptr) listener_->OnClear();
   lru_.clear();
   keys_.clear();
 }

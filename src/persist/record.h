@@ -12,8 +12,8 @@
 ///   [u32 crc32 over type + payload_len + payload]
 ///
 /// Payloads are strings: serialized atomic-query-part lines for C_aqp
-/// records (core/serialize.h format) and raw fingerprints for the
-/// MvEmptyCache records. The magic doubles as the format version — a
+/// records (core/serialize.h format) and raw fingerprints for the legacy
+/// MV-baseline records. The magic doubles as the format version — a
 /// layout change bumps the last byte ("2QRE") and old readers stop at
 /// the first new-format record instead of misparsing it.
 
@@ -39,11 +39,13 @@ enum class RecordType : uint8_t {
   kCaqpRemove = 3,
   /// C_aqp was cleared wholesale; empty payload.
   kCaqpClear = 4,
-  /// A fingerprint entered the MV baseline cache; payload = fingerprint.
+  /// Types 5–7 are legacy: files written while the MV-baseline cache was
+  /// durable carry them (a fingerprint stored, a fingerprint evicted, the
+  /// cache cleared). Nothing writes them now; they stay reserved and
+  /// decodable so such files still parse past them, and recovery skips
+  /// them.
   kMvStore = 5,
-  /// A fingerprint was evicted from the MV baseline cache.
   kMvRemove = 6,
-  /// The MV baseline cache was cleared; empty payload.
   kMvClear = 7,
   /// Last record of a snapshot; payload = decimal count of body records,
   /// proving the snapshot was written to completion.

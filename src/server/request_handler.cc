@@ -50,9 +50,13 @@ StatusOr<QueryRequest> ParseQueryBody(const std::string& body) {
     request.tenant = tenant->AsString();
   }
   if (const JsonValue* limit = doc.Find("row_limit"); limit != nullptr) {
-    if (!limit->is_number() || limit->AsDouble() < 0) {
+    // Above 2^53 a JSON number is no longer an exact integer, and from
+    // 2^63 on the int64 conversion below would be undefined behaviour.
+    constexpr double kMaxRowLimit = 9007199254740992.0;
+    if (!limit->is_number() || limit->AsDouble() < 0 ||
+        limit->AsDouble() > kMaxRowLimit) {
       return Status::InvalidArgument(
-          "\"row_limit\" must be a non-negative number");
+          "\"row_limit\" must be a number in [0, 2^53]");
     }
     request.row_limit = static_cast<size_t>(limit->AsInt64());
   }
@@ -62,14 +66,7 @@ StatusOr<QueryRequest> ParseQueryBody(const std::string& body) {
     }
     ERQ_ASSIGN_OR_RETURN(request.explain, ParseExplain(explain->AsString()));
   }
-  if (request.sql.empty() && request.batch.empty()) {
-    return Status::InvalidArgument(
-        "query body must carry \"sql\" or \"batch\"");
-  }
-  if (!request.sql.empty() && !request.batch.empty()) {
-    return Status::InvalidArgument(
-        "query body must carry \"sql\" or \"batch\", not both");
-  }
+  ERQ_RETURN_IF_ERROR(request.Validate());
   return request;
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/explain.h"
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "core/serialize.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -52,16 +53,19 @@ TEST_F(CombinedTest, SubqueryOverTpcr) {
       "select * from orders o where o.orderdate = DATE '" + d +
       "' and o.orderkey in (select orderkey from lineitem where partkey = " +
       p + ")";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first, manager_->Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
+                           manager_->Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second, manager_->Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
+                           manager_->Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(second.detected_empty);
   // The equivalent plain join is covered by the same knowledge.
   std::string join_sql =
       "select * from orders o, lineitem l where o.orderkey = l.orderkey "
       "and o.orderdate = DATE '" + d + "' and l.partkey = " + p;
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome third, manager_->Query(join_sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome third,
+                           manager_->Execute(QueryRequest::Sql(join_sql)));
   EXPECT_TRUE(third.detected_empty);
 }
 
@@ -69,16 +73,19 @@ TEST_F(CombinedTest, LikeOnCustomerNames) {
   // Customer names are "Customer#<id>": a 'Nobody%' prefix is empty.
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome first,
-      manager_->Query("select * from customer where name like 'Nobody%'"));
+      manager_->Execute(QueryRequest::Sql(
+          "select * from customer where name like 'Nobody%'")));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome second,
-      manager_->Query("select * from customer where name like 'NobodyX%'"));
+      manager_->Execute(QueryRequest::Sql(
+          "select * from customer where name like 'NobodyX%'")));
   EXPECT_TRUE(second.detected_empty) << "narrower prefix covered";
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome real,
-      manager_->Query("select * from customer where name like 'Customer#1%'"));
+      manager_->Execute(QueryRequest::Sql(
+          "select * from customer where name like 'Customer#1%'")));
   EXPECT_FALSE(real.result_empty);
 }
 
@@ -91,11 +98,12 @@ TEST_F(CombinedTest, PruneUnionOfSubqueryAndLike) {
       "select o.orderkey from orders o where o.orderdate = DATE '" + d +
       "' and o.orderkey in (select orderkey from lineitem where partkey = " +
       p + ")";
-  ERQ_ASSERT_OK(manager_->Query(empty_branch).status());
+  ERQ_ASSERT_OK(manager_->Execute(QueryRequest::Sql(empty_branch)).status());
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome pruned,
-      manager_->Query(empty_branch +
-                      " union select custkey from customer where custkey < 5"));
+      manager_->Execute(QueryRequest::Sql(
+          empty_branch +
+          " union select custkey from customer where custkey < 5")));
   EXPECT_TRUE(pruned.executed);
   EXPECT_EQ(pruned.branches_pruned, 1u);
   EXPECT_EQ(pruned.result_rows, 5u);
@@ -106,7 +114,7 @@ TEST_F(CombinedTest, SerializeSurvivesRestart) {
   std::vector<std::string> sqls;
   for (int i = 0; i < 5; ++i) {
     sqls.push_back(gen.GenerateQ1(2, 1, /*want_empty=*/true).ToSql());
-    ERQ_ASSERT_OK(manager_->Query(sqls.back()).status());
+    ERQ_ASSERT_OK(manager_->Execute(QueryRequest::Sql(sqls.back())).status());
   }
   std::string blob = SerializeCache(manager_->detector().cache());
 
@@ -118,7 +126,8 @@ TEST_F(CombinedTest, SerializeSurvivesRestart) {
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, manager_->detector().cache().size());
   for (const std::string& sql : sqls) {
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome, fresh.Query(sql));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
+                             fresh.Execute(QueryRequest::Sql(sql)));
     EXPECT_TRUE(outcome.detected_empty) << sql;
   }
 }
@@ -144,7 +153,8 @@ TEST_F(CombinedTest, MixedTraceWithQ2ReplaysCorrectly) {
   size_t q2_count = 0;
   for (const TraceQuery& q : trace) {
     if (q.sql.find("customer c") != std::string::npos) ++q2_count;
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome, manager_->Query(q.sql));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
+                             manager_->Execute(QueryRequest::Sql(q.sql)));
     EXPECT_EQ(outcome.result_empty, q.expect_empty) << q.sql;
   }
   EXPECT_GT(q2_count, 20u) << "Q2 templates should appear in the mix";
@@ -160,7 +170,7 @@ TEST_F(CombinedTest, UpdateFilterKeepsSubqueryKnowledge) {
       "select * from orders o where o.orderdate = DATE '" + d +
       "' and o.orderkey in (select orderkey from lineitem where partkey = " +
       p + ")";
-  ERQ_ASSERT_OK(manager_->Query(sql).status());
+  ERQ_ASSERT_OK(manager_->Execute(QueryRequest::Sql(sql)).status());
   size_t before = manager_->detector().cache().size();
   ASSERT_GT(before, 0u);
   // Insert a lineitem for a *different* part: irrelevant to the stored
@@ -171,7 +181,8 @@ TEST_F(CombinedTest, UpdateFilterKeepsSubqueryKnowledge) {
         Value::Int(1), Value::Double(1.0)}}));
   EXPECT_EQ(manager_->detector().cache().size(), before)
       << "irrelevant insert should not drop subquery-derived parts";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome again, manager_->Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome again,
+                           manager_->Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(again.detected_empty);
 }
 

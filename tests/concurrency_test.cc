@@ -14,6 +14,7 @@
 #include "common/metrics.h"
 #include "core/caqp_cache.h"
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "mv/mv_cache.h"
 #include "test_util.h"
@@ -400,7 +401,8 @@ TEST(ConcurrencyTest, ManagerConcurrentQueriesAndInvalidation) {
         // harvested into C_aqp; repeats then hit the detection path.
         int64_t a = 10 + static_cast<int64_t>(rng() % 20);
         auto outcome =
-            manager.Query("SELECT a, b FROM A WHERE a = " + std::to_string(a));
+            manager.Execute(QueryRequest::Sql(
+                "SELECT a, b FROM A WHERE a = " + std::to_string(a)));
         ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
         issued.fetch_add(1, std::memory_order_relaxed);
         if (outcome->detected_empty) {

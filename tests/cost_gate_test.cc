@@ -1,6 +1,7 @@
 #include "core/cost_gate.h"
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -63,8 +64,11 @@ TEST(CostGateTest, ManagerFeedsTheGate) {
   config.c_cost = 0.0;
   EmptyResultManager manager(&db.catalog(), &db.stats(), config);
   for (int i = 0; i < 5; ++i) {
-    ERQ_ASSERT_OK(manager.Query("select * from A where a > 100").status());
-    ERQ_ASSERT_OK(manager.Query("select * from A").status());
+    ERQ_ASSERT_OK(
+        manager.Execute(
+            QueryRequest::Sql("select * from A where a > 100")).status());
+    ERQ_ASSERT_OK(
+        manager.Execute(QueryRequest::Sql("select * from A")).status());
   }
   CostGateSnapshot gate = manager.cost_gate_snapshot();
   EXPECT_EQ(gate.samples(), 10u);
@@ -82,15 +86,20 @@ TEST(CostGateTest, AutoTuneTakesOverAfterWarmup) {
   EXPECT_DOUBLE_EQ(manager.EffectiveCostThreshold(), 0.0)
       << "fallback before warmup";
   for (int i = 0; i < 30; ++i) {
-    ERQ_ASSERT_OK(manager.Query("select * from A where a > 100").status());
-    ERQ_ASSERT_OK(manager.Query("select * from A, B where A.c = B.d").status());
+    ERQ_ASSERT_OK(
+        manager.Execute(
+            QueryRequest::Sql("select * from A where a > 100")).status());
+    ERQ_ASSERT_OK(
+        manager.Execute(
+            QueryRequest::Sql("select * from A, B where A.c = B.d")).status());
   }
   // 60 samples >= default 50: the suggestion is now in force.
   double threshold = manager.EffectiveCostThreshold();
   EXPECT_GT(threshold, 0.0);
   // And the pipeline still behaves correctly under the tuned gate.
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
-                           manager.Query("select * from A where a > 100"));
+                           manager.Execute(QueryRequest::Sql(
+                               "select * from A where a > 100")));
   EXPECT_TRUE(outcome.detected_empty || outcome.executed);
 }
 

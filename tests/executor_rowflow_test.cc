@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/query_api.h"
 #include "exec/executor.h"
 #include "exec/partition_pruner.h"
 #include "gtest/gtest.h"
@@ -271,11 +272,13 @@ TEST(ExecutorRowFlowTest, ReuseSpliceCountsCachedRows) {
   EmptyResultManager manager(&db.catalog(), &db.stats(), config);
   ERQ_ASSERT_OK(manager.init_status());
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome wide,
-                           manager.Query("select * from A where a >= 14"));
+                           manager.Execute(QueryRequest::Sql(
+                               "select * from A where a >= 14")));
   EXPECT_GE(wide.intermediates_harvested, 1u);
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome narrow,
-      manager.Query("select * from A where a >= 14 and b < 170"));
+      manager.Execute(
+          QueryRequest::Sql("select * from A where a >= 14 and b < 170")));
   ASSERT_EQ(narrow.reused_subtrees, 1u);
   EXPECT_EQ(Render(narrow.result.rows), "14|140|4\n15|150|0\n16|160|1\n");
   EXPECT_EQ(Actuals(*narrow.plan), "Project=3(Filter=3(CachedResultScan=6))");

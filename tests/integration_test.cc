@@ -3,6 +3,7 @@
 // §3.1 in miniature, and update/invalidation epochs.
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "types/date.h"
@@ -40,20 +41,23 @@ TEST_F(TpcrIntegrationTest, Q1EmptyDetectionLifecycle) {
   std::string sql = spec.ToSql();
 
   // First run executes and harvests F = 4 atomic parts.
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
   EXPECT_EQ(first.aqps_recorded, spec.CombinationFactor());
 
   // Second run detects without executing.
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(second.detected_empty);
 
   // A sub-query built from one stored (date, part) pair is detected too.
   Q1Spec narrow;
   narrow.dates = {spec.dates[0]};
   narrow.parts = {spec.parts[1]};
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome third, manager.Query(narrow.ToSql()));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome third,
+                           manager.Execute(QueryRequest::Sql(narrow.ToSql())));
   EXPECT_TRUE(third.detected_empty);
 }
 
@@ -63,10 +67,12 @@ TEST_F(TpcrIntegrationTest, Q2EmptyDetectionAcrossThreeRelations) {
   EmptyResultManager manager(&catalog_, &stats_, config);
   QueryGenerator gen(&instance_, 78);
   Q2Spec spec = gen.GenerateQ2(2, 1, 2, /*want_empty=*/true);
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first, manager.Query(spec.ToSql()));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
+                           manager.Execute(QueryRequest::Sql(spec.ToSql())));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome again, manager.Query(spec.ToSql()));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome again,
+                           manager.Execute(QueryRequest::Sql(spec.ToSql())));
   EXPECT_TRUE(again.detected_empty);
 }
 
@@ -87,7 +93,8 @@ TEST_F(TpcrIntegrationTest, InteractiveExplorationRefinement) {
   std::string broad =
       "select * from orders o, lineitem l where o.orderkey = l.orderkey "
       "and o.orderdate = DATE '" + d + "' and l.partkey = " + p;
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome probe, manager.Query(broad));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome probe,
+                           manager.Execute(QueryRequest::Sql(broad)));
   ASSERT_TRUE(probe.result_empty);
 
   // Refinements: extra predicates, projections, ordering.
@@ -98,7 +105,8 @@ TEST_F(TpcrIntegrationTest, InteractiveExplorationRefinement) {
            "where o.orderkey = l.orderkey and o.orderdate = DATE '" + d +
                "' and l.partkey = " + p + " order by o.orderkey",
        }) {
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome, manager.Query(refinement));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
+                             manager.Execute(QueryRequest::Sql(refinement)));
     EXPECT_TRUE(outcome.detected_empty) << refinement;
     EXPECT_FALSE(outcome.executed);
   }
@@ -110,7 +118,7 @@ TEST_F(TpcrIntegrationTest, BatchUpdateOpensNewEpoch) {
   EmptyResultManager manager(&catalog_, &stats_, config);
   QueryGenerator gen(&instance_, 80);
   Q1Spec spec = gen.GenerateQ1(1, 1, /*want_empty=*/true);
-  ERQ_ASSERT_OK(manager.Query(spec.ToSql()).status());
+  ERQ_ASSERT_OK(manager.Execute(QueryRequest::Sql(spec.ToSql())).status());
   ASSERT_GT(manager.detector().cache().size(), 0u);
 
   // Batch-load one lineitem that matches the stored empty combination.
@@ -128,7 +136,8 @@ TEST_F(TpcrIntegrationTest, BatchUpdateOpensNewEpoch) {
 
   // The lineitem parts were invalidated; the query now executes and finds
   // the new row.
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome after, manager.Query(spec.ToSql()));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome after,
+                           manager.Execute(QueryRequest::Sql(spec.ToSql())));
   EXPECT_TRUE(after.executed);
   EXPECT_EQ(after.result_rows, 1u);
 }
@@ -147,7 +156,8 @@ TEST_F(TpcrIntegrationTest, TraceReplayAchievesPaperSavings) {
   TraceStats tstats = ComputeTraceStats(trace);
 
   for (const TraceQuery& q : trace) {
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome, manager.Query(q.sql));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
+                             manager.Execute(QueryRequest::Sql(q.sql)));
     EXPECT_EQ(outcome.result_empty, q.expect_empty) << q.sql;
   }
   const ManagerStats& mstats = manager.stats_snapshot();
@@ -167,13 +177,15 @@ TEST_F(TpcrIntegrationTest, CostGateSeparatesCheapAndExpensiveQueries) {
   EmptyResultManager manager(&catalog_, &stats_, config);
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome cheap,
-      manager.Query("select * from customer where custkey = 3"));
+      manager.Execute(
+          QueryRequest::Sql("select * from customer where custkey = 3")));
   EXPECT_FALSE(cheap.high_cost) << "point lookup should be low-cost, got "
                                 << cheap.estimated_cost;
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome expensive,
-      manager.Query("select * from orders o, lineitem l "
-                    "where o.orderkey = l.orderkey"));
+      manager.Execute(QueryRequest::Sql(
+          "select * from orders o, lineitem l "
+          "where o.orderkey = l.orderkey")));
   EXPECT_TRUE(expensive.high_cost);
 }
 
@@ -188,29 +200,34 @@ TEST_F(TpcrIntegrationTest, AggregateUnionExceptEndToEnd) {
   std::string core =
       "from orders o, lineitem l where o.orderkey = l.orderkey "
       "and o.orderdate = DATE '" + d + "' and l.partkey = " + p;
-  ERQ_ASSERT_OK(manager.Query("select * " + core).status());
+  ERQ_ASSERT_OK(
+      manager.Execute(QueryRequest::Sql("select * " + core)).status());
 
   // Scalar aggregate never detected empty — must execute and return a row.
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome agg,
-                           manager.Query("select count(*) " + core));
+                           manager.Execute(
+                               QueryRequest::Sql("select count(*) " + core)));
   EXPECT_TRUE(agg.executed);
   EXPECT_EQ(agg.result_rows, 1u);
   EXPECT_EQ(agg.result.rows[0][0].AsInt(), 0);
 
   // UNION with a second empty branch: detected once both are known empty.
   ERQ_ASSERT_OK(
-      manager.Query("select * from customer where custkey = -5").status());
+      manager.Execute(QueryRequest::Sql(
+          "select * from customer where custkey = -5")).status());
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome setop,
-      manager.Query("select o.orderkey " + core +
-                    " union select custkey from customer where custkey = -5"));
+      manager.Execute(QueryRequest::Sql(
+          "select o.orderkey " + core +
+          " union select custkey from customer where custkey = -5")));
   EXPECT_TRUE(setop.detected_empty);
 
   // EXCEPT with empty left branch: detected.
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome except,
-      manager.Query("select o.orderkey " + core +
-                    " except select custkey from customer"));
+      manager.Execute(QueryRequest::Sql(
+          "select o.orderkey " + core +
+          " except select custkey from customer")));
   EXPECT_TRUE(except.detected_empty);
 }
 

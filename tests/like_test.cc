@@ -3,6 +3,7 @@
 // interval) that let LIKE conditions participate in empty-result coverage.
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "expr/dnf.h"
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
@@ -126,21 +127,25 @@ TEST(LikeDetectTest, PrefixLikeKnowledgeGeneralizes) {
   EmptyResultManager manager(&db.catalog(), &db.stats(), config);
   // No C.g starts with 'q'.
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
-                           manager.Query("select * from C where g like 'q%'"));
+                           manager.Execute(QueryRequest::Sql(
+                               "select * from C where g like 'q%'")));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
   EXPECT_GT(first.aqps_recorded, 0u);
   // A narrower prefix is covered without execution.
   ERQ_ASSERT_OK_AND_ASSIGN(
-      QueryOutcome second, manager.Query("select * from C where g like 'qu%'"));
+      QueryOutcome second, manager.Execute(
+          QueryRequest::Sql("select * from C where g like 'qu%'")));
   EXPECT_TRUE(second.detected_empty);
   // So is an equality inside the prefix range.
   ERQ_ASSERT_OK_AND_ASSIGN(
-      QueryOutcome third, manager.Query("select * from C where g = 'quark'"));
+      QueryOutcome third, manager.Execute(
+          QueryRequest::Sql("select * from C where g = 'quark'")));
   EXPECT_TRUE(third.detected_empty);
   // A different prefix is not.
   ERQ_ASSERT_OK_AND_ASSIGN(
-      QueryOutcome fourth, manager.Query("select * from C where g like 'z%'"));
+      QueryOutcome fourth, manager.Execute(
+          QueryRequest::Sql("select * from C where g like 'z%'")));
   EXPECT_TRUE(fourth.executed);
 }
 
@@ -150,10 +155,12 @@ TEST(LikeDetectTest, OpaqueLikeStillExactMatches) {
   config.c_cost = 0.0;
   EmptyResultManager manager(&db.catalog(), &db.stats(), config);
   std::string sql = "select * from C where g like '%xyz%'";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(second.detected_empty)
       << "opaque terms still match via exact structural equality";
 }

@@ -1,5 +1,6 @@
 #include "core/manager.h"
 
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -24,13 +25,15 @@ TEST_F(ManagerTest, DetectsRepeatedEmptyQueryWithoutExecution) {
                              HighCostEverything());
   std::string sql = "select * from A where a > 100";
 
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
   EXPECT_FALSE(first.detected_empty);
   EXPECT_GT(first.aqps_recorded, 0u);
 
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(second.detected_empty);
   EXPECT_FALSE(second.executed);
   EXPECT_TRUE(second.result_empty);
@@ -45,7 +48,8 @@ TEST_F(ManagerTest, NonEmptyQueriesFlowThrough) {
   EmptyResultManager manager(&db_.catalog(), &db_.stats(),
                              HighCostEverything());
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
-                           manager.Query("select * from A where a < 15"));
+                           manager.Execute(QueryRequest::Sql(
+                               "select * from A where a < 15")));
   EXPECT_TRUE(outcome.executed);
   EXPECT_FALSE(outcome.result_empty);
   EXPECT_EQ(outcome.result_rows, 5u);
@@ -59,11 +63,13 @@ TEST_F(ManagerTest, LowCostQueriesSkipTheCheck) {
   config.c_cost = 1e12;  // everything is low-cost
   EmptyResultManager manager(&db_.catalog(), &db_.stats(), config);
   std::string sql = "select * from A where a > 100";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(first.executed);
   EXPECT_FALSE(first.high_cost);
   EXPECT_EQ(first.aqps_recorded, 0u) << "low-cost empties are not stored";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(second.executed) << "no check for low-cost queries";
   EXPECT_EQ(manager.stats_snapshot().checks, 0u);
   EXPECT_EQ(manager.stats_snapshot().low_cost, 2u);
@@ -74,8 +80,9 @@ TEST_F(ManagerTest, DetectionDisabledBaseline) {
   config.detection_enabled = false;
   EmptyResultManager manager(&db_.catalog(), &db_.stats(), config);
   std::string sql = "select * from A where a > 100";
-  ERQ_ASSERT_OK(manager.Query(sql).status());
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second, manager.Query(sql));
+  ERQ_ASSERT_OK(manager.Execute(QueryRequest::Sql(sql)).status());
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(second.executed);
   EXPECT_EQ(manager.detector().cache().size(), 0u);
 }
@@ -83,8 +90,12 @@ TEST_F(ManagerTest, DetectionDisabledBaseline) {
 TEST_F(ManagerTest, UpdateInvalidatesAffectedParts) {
   EmptyResultManager manager(&db_.catalog(), &db_.stats(),
                              HighCostEverything());
-  ERQ_ASSERT_OK(manager.Query("select * from A where a > 100").status());
-  ERQ_ASSERT_OK(manager.Query("select * from B where d = 999").status());
+  ERQ_ASSERT_OK(
+      manager.Execute(
+          QueryRequest::Sql("select * from A where a > 100")).status());
+  ERQ_ASSERT_OK(
+      manager.Execute(
+          QueryRequest::Sql("select * from B where d = 999")).status());
   ASSERT_EQ(manager.detector().cache().size(), 2u);
 
   // Appending a row through the catalog must invalidate A's parts: the
@@ -96,7 +107,8 @@ TEST_F(ManagerTest, UpdateInvalidatesAffectedParts) {
   // The previously-empty query now matches the new row; it must execute
   // and return it (no stale detection).
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
-                           manager.Query("select * from A where a > 100"));
+                           manager.Execute(QueryRequest::Sql(
+                               "select * from A where a > 100")));
   EXPECT_TRUE(outcome.executed);
   EXPECT_EQ(outcome.result_rows, 1u);
 }
@@ -111,7 +123,7 @@ TEST_F(ManagerTest, CorrectnessDetectedImpliesActuallyEmpty) {
            "select * from B where d = 100 or e = 77",
            "select * from A, B where A.c = B.d and A.a = 150",
        }) {
-    ERQ_ASSERT_OK(manager.Query(sql).status());
+    ERQ_ASSERT_OK(manager.Execute(QueryRequest::Sql(sql)).status());
   }
   // Fire a batch of probe queries; whenever detection claims empty,
   // force-execute and verify.
@@ -122,7 +134,8 @@ TEST_F(ManagerTest, CorrectnessDetectedImpliesActuallyEmpty) {
            "select * from B where e = 77 and d = 100",
            "select * from A, B where A.c = B.d and A.a = 150 and B.e = 0",
        }) {
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome, manager.Query(sql));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
+                             manager.Execute(QueryRequest::Sql(sql)));
     if (outcome.detected_empty) {
       ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr plan, manager.Prepare(sql));
       ERQ_ASSERT_OK_AND_ASSIGN(ExecutionResult forced, Executor::Run(plan));
@@ -140,15 +153,18 @@ TEST_F(ManagerTest, PrepareReturnsCostedPlan) {
 
 TEST_F(ManagerTest, ParseErrorsPropagate) {
   EmptyResultManager manager(&db_.catalog(), &db_.stats());
-  EXPECT_FALSE(manager.Query("selec * from A").ok());
-  EXPECT_FALSE(manager.Query("select * from missing_table").ok());
+  EXPECT_FALSE(manager.Execute(QueryRequest::Sql("selec * from A")).ok());
+  EXPECT_FALSE(
+      manager.Execute(QueryRequest::Sql("select * from missing_table")).ok());
 }
 
-TEST_F(ManagerTest, QueryBatchMatchesSequentialQueries) {
+TEST_F(ManagerTest, ExecuteBatchMatchesSequentialQueries) {
   EmptyResultManager manager(&db_.catalog(), &db_.stats(),
                              HighCostEverything());
   // Seed C_aqp the same way the sequential path would.
-  ERQ_ASSERT_OK(manager.Query("select * from A where a > 100").status());
+  ERQ_ASSERT_OK(
+      manager.Execute(
+          QueryRequest::Sql("select * from A where a > 100")).status());
 
   std::vector<std::string> sqls = {
       "select * from A where a > 500",  // detected empty from C_aqp
@@ -156,7 +172,8 @@ TEST_F(ManagerTest, QueryBatchMatchesSequentialQueries) {
       "selec * from A",                 // parse error: only this slot fails
       "select * from A where a = 200",  // detected empty
   };
-  std::vector<StatusOr<QueryOutcome>> batch = manager.QueryBatch(sqls);
+  std::vector<StatusOr<QueryOutcome>> batch = manager.ExecuteBatch(
+      QueryRequest::Batch(sqls));
   ASSERT_EQ(batch.size(), sqls.size());
 
   ASSERT_TRUE(batch[0].ok()) << batch[0].status();
@@ -180,18 +197,20 @@ TEST_F(ManagerTest, QueryBatchMatchesSequentialQueries) {
   EXPECT_EQ(stats.executed, 2u);
 }
 
-TEST_F(ManagerTest, QueryBatchHarvestsExecutedEmptyResults) {
+TEST_F(ManagerTest, ExecuteBatchHarvestsExecutedEmptyResults) {
   EmptyResultManager manager(&db_.catalog(), &db_.stats(),
                              HighCostEverything());
   // A batch whose queries come back empty must harvest into C_aqp so a
   // later batch detects them without execution.
   std::vector<StatusOr<QueryOutcome>> first =
-      manager.QueryBatch({"select * from A where a > 100"});
+      manager.ExecuteBatch(
+          QueryRequest::Batch({"select * from A where a > 100"}));
   ASSERT_TRUE(first[0].ok());
   EXPECT_TRUE(first[0]->executed);
   EXPECT_GT(first[0]->aqps_recorded, 0u);
   std::vector<StatusOr<QueryOutcome>> second =
-      manager.QueryBatch({"select * from A where a > 100"});
+      manager.ExecuteBatch(
+          QueryRequest::Batch({"select * from A where a > 100"}));
   ASSERT_TRUE(second[0].ok());
   EXPECT_TRUE(second[0]->detected_empty);
 }
@@ -199,9 +218,13 @@ TEST_F(ManagerTest, QueryBatchHarvestsExecutedEmptyResults) {
 TEST_F(ManagerTest, StatsAccumulateAcrossStream) {
   EmptyResultManager manager(&db_.catalog(), &db_.stats(),
                              HighCostEverything());
-  ERQ_ASSERT_OK(manager.Query("select * from A where a > 100").status());
-  ERQ_ASSERT_OK(manager.Query("select * from A where a > 100").status());
-  ERQ_ASSERT_OK(manager.Query("select * from A").status());
+  ERQ_ASSERT_OK(
+      manager.Execute(
+          QueryRequest::Sql("select * from A where a > 100")).status());
+  ERQ_ASSERT_OK(
+      manager.Execute(
+          QueryRequest::Sql("select * from A where a > 100")).status());
+  ERQ_ASSERT_OK(manager.Execute(QueryRequest::Sql("select * from A")).status());
   const ManagerStats& stats = manager.stats_snapshot();
   EXPECT_EQ(stats.queries, 3u);
   EXPECT_EQ(stats.executed, 2u);

@@ -13,10 +13,10 @@
 
 #include "common/metrics.h"
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "core/serialize.h"
 #include "gtest/gtest.h"
 #include "mv/mv_cache.h"
-#include "persist/durable_mv.h"
 #include "persist/io.h"
 #include "persist/journal.h"
 #include "persist/persistence.h"
@@ -93,9 +93,12 @@ void ExerciseAllModules() {
   config.c_cost = 0.0;
   EmptyResultManager manager(&db.catalog(), &db.stats(), config);
   ASSERT_TRUE(manager.init_status().ok());
-  ASSERT_TRUE(manager.Query("select * from A where a < 15").ok());
-  ASSERT_TRUE(manager.Query("select * from A where a > 100").ok());
-  ASSERT_TRUE(manager.Query("select * from A where a > 100").ok());
+  ASSERT_TRUE(
+      manager.Execute(QueryRequest::Sql("select * from A where a < 15")).ok());
+  ASSERT_TRUE(
+      manager.Execute(QueryRequest::Sql("select * from A where a > 100")).ok());
+  ASSERT_TRUE(
+      manager.Execute(QueryRequest::Sql("select * from A where a > 100")).ok());
 
   // Partition pruning: a selective query over a partitioned table and an
   // insert into it touch the erq.exec.partitions.* and
@@ -105,7 +108,8 @@ void ExerciseAllModules() {
   scheme.key_column = "a";
   scheme.range_bounds = {Value::Int(15)};
   ASSERT_TRUE(db.catalog().SetPartitioning("A", std::move(scheme)).ok());
-  ASSERT_TRUE(manager.Query("select * from A where a < 12").ok());
+  ASSERT_TRUE(
+      manager.Execute(QueryRequest::Sql("select * from A where a < 12")).ok());
   ASSERT_TRUE(db.catalog()
                   .AppendRows("A", {{Value::Int(30), Value::Int(300),
                                      Value::Int(0)}})
@@ -117,8 +121,12 @@ void ExerciseAllModules() {
   reuse_config.reuse.enabled = true;
   EmptyResultManager reuse_manager(&db.catalog(), &db.stats(), reuse_config);
   ASSERT_TRUE(reuse_manager.init_status().ok());
-  ASSERT_TRUE(reuse_manager.Query("select * from B where d >= 1").ok());
-  ASSERT_TRUE(reuse_manager.Query("select * from B where d >= 1").ok());
+  ASSERT_TRUE(
+      reuse_manager.Execute(
+          QueryRequest::Sql("select * from B where d >= 1")).ok());
+  ASSERT_TRUE(
+      reuse_manager.Execute(
+          QueryRequest::Sql("select * from B where d >= 1")).ok());
 
   // Serialization counter group.
   size_t skipped = 0;
@@ -149,9 +157,7 @@ void ExerciseAllModules() {
   ASSERT_TRUE(p.ok()) << p.status().ToString();
   CaqpCache cache(16);
   ASSERT_TRUE((*p)->AttachCaqp(&cache).ok());
-  DurableMv durable(p->get(), &mv);
   ASSERT_TRUE((*p)->SnapshotNow().ok());
-  mv.Clear();
   p->reset();
   (void)RemoveFileIfExists(dir + "/" + kJournalFileName);
   (void)RemoveFileIfExists(dir + "/" + kSnapshotFileName);

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "mv/mv_cache.h"
 #include "test_util.h"
@@ -98,9 +99,13 @@ TEST(MetricsGoldenSchemaTest, ToJsonExposesTheWholePipeline) {
   config.c_cost = 0.0;  // everything is high-cost: full pipeline runs
   EmptyResultManager manager(&db.catalog(), &db.stats(), config);
   // Empty result -> record; repeat -> detection hit; non-empty -> execute.
-  ERQ_ASSERT_OK(manager.Query("select * from A where a > 100").status());
-  ERQ_ASSERT_OK(manager.Query("select * from A where a > 100").status());
-  ERQ_ASSERT_OK(manager.Query("select * from A").status());
+  ERQ_ASSERT_OK(
+      manager.Execute(
+          QueryRequest::Sql("select * from A where a > 100")).status());
+  ERQ_ASSERT_OK(
+      manager.Execute(
+          QueryRequest::Sql("select * from A where a > 100")).status());
+  ERQ_ASSERT_OK(manager.Execute(QueryRequest::Sql("select * from A")).status());
 
   const std::string json = MetricsRegistry::Global().ToJson();
   SCOPED_TRACE(json);
@@ -215,13 +220,14 @@ TEST(MetricsGoldenSchemaTest, StageHistogramsObserveOncePerQuery) {
        {"select * from A where a > 100", "select * from A where a > 100",
         "select * from A where a < 15",
         "select a from A where a > 100 union select d from B"}) {
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome o, manager.Query(sql));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome o,
+                             manager.Execute(QueryRequest::Sql(sql)));
     tally(o);
   }
   EXPECT_EQ(manager.stats_snapshot().branches_pruned, 1u);
-  for (StatusOr<QueryOutcome>& o : manager.QueryBatch(
+  for (StatusOr<QueryOutcome>& o : manager.ExecuteBatch(QueryRequest::Batch(
            {"select * from B where d = 999", "select * from A where a > 100",
-            "select c from A"})) {
+            "select c from A"}))) {
     ERQ_ASSERT_OK(o.status());
     tally(*o);
   }
@@ -257,12 +263,15 @@ TEST(QueryOutcomeTest, StageTimingsSumToTotalWallTime) {
   EmptyResultConfig config;
   config.c_cost = 0.0;
   EmptyResultManager manager(&db.catalog(), &db.stats(), config);
-  ERQ_ASSERT_OK(manager.Query("select * from B where d = 77").status());
+  ERQ_ASSERT_OK(
+      manager.Execute(
+          QueryRequest::Sql("select * from B where d = 77")).status());
 
   for (const char* sql :
        {"select * from A where a < 15", "select * from B where d = 77",
         "select a, e from A, B where c = d and b > 100"}) {
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome, manager.Query(sql));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
+                             manager.Execute(QueryRequest::Sql(sql)));
     const QueryOutcome::Timings& t = outcome.timings;
     SCOPED_TRACE(std::string(sql) + "\n" + t.ToString());
     EXPECT_GT(t.total_seconds, 0.0);
@@ -285,7 +294,8 @@ TEST(QueryOutcomeTest, DetectedEmptyCarriesPlanAndExplanation) {
   config.c_cost = 0.0;
   EmptyResultManager manager(&db.catalog(), &db.stats(), config);
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
-                           manager.Query("select * from A where a > 100"));
+                           manager.Execute(QueryRequest::Sql(
+                               "select * from A where a > 100")));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
   ASSERT_NE(first.plan, nullptr);
@@ -294,7 +304,8 @@ TEST(QueryOutcomeTest, DetectedEmptyCarriesPlanAndExplanation) {
   EXPECT_FALSE(first.explanation->minimal_causes.empty());
 
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
-                           manager.Query("select * from A where a > 100"));
+                           manager.Execute(QueryRequest::Sql(
+                               "select * from A where a > 100")));
   EXPECT_TRUE(second.detected_empty);
   ASSERT_NE(second.plan, nullptr);
   ASSERT_TRUE(second.explanation.has_value());
@@ -310,7 +321,8 @@ TEST(QueryOutcomeTest, NonEmptyResultHasNoExplanation) {
   FixtureDb db;
   EmptyResultManager manager(&db.catalog(), &db.stats());
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
-                           manager.Query("select * from A"));
+                           manager.Execute(
+                               QueryRequest::Sql("select * from A")));
   EXPECT_FALSE(outcome.result_empty);
   EXPECT_FALSE(outcome.explanation.has_value());
   ASSERT_NE(outcome.plan, nullptr);
@@ -362,16 +374,13 @@ TEST(ConfigValidateTest, ManagerSurfacesTheErrorFromEveryEntryPoint) {
   bad.n_max = 0;
   EmptyResultManager manager(&db.catalog(), &db.stats(), bad);
   EXPECT_FALSE(manager.init_status().ok());
-  EXPECT_EQ(manager.Query("select * from A").status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      manager.Execute(QueryRequest::Sql("select * from A")).status().code(),
+      StatusCode::kInvalidArgument);
   EXPECT_EQ(manager.Prepare("select * from A").status().code(),
             StatusCode::kInvalidArgument);
-  ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Statement> stmt,
-                           Parser::Parse("select * from A"));
-  EXPECT_EQ(manager.QueryStatement(*stmt).status().code(),
-            StatusCode::kInvalidArgument);
-  std::vector<StatusOr<QueryOutcome>> batch =
-      manager.QueryBatch({"select * from A", "select * from A"});
+  std::vector<StatusOr<QueryOutcome>> batch = manager.ExecuteBatch(
+      QueryRequest::Batch({"select * from A", "select * from A"}));
   ASSERT_EQ(batch.size(), 2u);
   for (const StatusOr<QueryOutcome>& r : batch) {
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);

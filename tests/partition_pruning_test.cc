@@ -11,6 +11,7 @@
 
 #include "catalog/catalog.h"
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "persist/io.h"
 #include "persist/journal.h"
@@ -74,7 +75,8 @@ TEST_F(PartitionPruningTest, ZoneMapsSkipPartitionsOfNonEmptyQuery) {
   // Selective on the partitioning key: zone maps refute 3 of 4 partitions
   // even though the query itself is non-empty.
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
-                           manager.Query("SELECT id FROM items WHERE id < 10"));
+                           manager.Execute(QueryRequest::Sql(
+                               "SELECT id FROM items WHERE id < 10")));
   EXPECT_TRUE(outcome.executed);
   EXPECT_EQ(outcome.result_rows, 10u);
   EXPECT_EQ(outcome.partitions_scanned, 1u);
@@ -88,7 +90,8 @@ TEST_F(PartitionPruningTest, PruningDisabledScansEverything) {
   ERQ_ASSERT_OK(manager.init_status());
 
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
-                           manager.Query("SELECT id FROM items WHERE id < 10"));
+                           manager.Execute(QueryRequest::Sql(
+                               "SELECT id FROM items WHERE id < 10")));
   EXPECT_EQ(outcome.result_rows, 10u);
   EXPECT_EQ(outcome.partitions_scanned, 0u);  // scan ran unpartitioned
   EXPECT_EQ(outcome.partitions_pruned, 0u);
@@ -104,8 +107,8 @@ TEST_F(PartitionPruningTest, StoredPartitionKnowledgePrunesLaterQuery) {
   // ({items@k}, price in [500, 600]) parts, though q1 is non-empty.
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome q1,
-      manager.Query(
-          "SELECT id FROM items WHERE price >= 500 AND price <= 600"));
+      manager.Execute(QueryRequest::Sql(
+          "SELECT id FROM items WHERE price >= 500 AND price <= 600")));
   EXPECT_EQ(q1.result_rows, 23u);  // partition 0, offsets 2..24
   EXPECT_EQ(q1.partitions_scanned, 4u);
   EXPECT_EQ(q1.partitions_pruned, 0u);
@@ -116,8 +119,8 @@ TEST_F(PartitionPruningTest, StoredPartitionKnowledgePrunesLaterQuery) {
   // being read; the result is unchanged.
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome q2,
-      manager.Query(
-          "SELECT id FROM items WHERE price >= 520 AND price <= 580"));
+      manager.Execute(QueryRequest::Sql(
+          "SELECT id FROM items WHERE price >= 520 AND price <= 580")));
   EXPECT_EQ(q2.result_rows, 23u);
   EXPECT_EQ(q2.partitions_scanned, 1u);
   EXPECT_EQ(q2.partitions_pruned, 3u);
@@ -129,8 +132,8 @@ TEST_F(PartitionPruningTest, InsertInvalidatesOnlyTouchedPartition) {
 
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome q1,
-      manager.Query(
-          "SELECT id FROM items WHERE price >= 500 AND price <= 600"));
+      manager.Execute(QueryRequest::Sql(
+          "SELECT id FROM items WHERE price >= 500 AND price <= 600")));
   ASSERT_EQ(q1.partition_aqps_recorded, 3u);
 
   // Insert one row into partition 2 (id 60) inside the recorded band:
@@ -140,8 +143,8 @@ TEST_F(PartitionPruningTest, InsertInvalidatesOnlyTouchedPartition) {
 
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome q2,
-      manager.Query(
-          "SELECT id FROM items WHERE price >= 520 AND price <= 580"));
+      manager.Execute(QueryRequest::Sql(
+          "SELECT id FROM items WHERE price >= 520 AND price <= 580")));
   EXPECT_EQ(q2.result_rows, 24u);  // the new row matches too
   EXPECT_EQ(q2.partitions_scanned, 2u);  // partitions 0 and 2
   EXPECT_EQ(q2.partitions_pruned, 2u);   // partitions 1 and 3, from C_aqp
@@ -182,8 +185,10 @@ TEST_F(PartitionPruningTest, PrunedScanReturnsIdenticalRows) {
   queries.push_back("SELECT id, price FROM items");
 
   for (const std::string& sql : queries) {
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome with, part.Query(sql));
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome without, flat.Query(sql));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome with,
+                             part.Execute(QueryRequest::Sql(sql)));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome without,
+                             flat.Execute(QueryRequest::Sql(sql)));
     ASSERT_EQ(with.result.rows.size(), without.result.rows.size()) << sql;
     for (size_t i = 0; i < with.result.rows.size(); ++i) {
       const Row& a = with.result.rows[i];
@@ -211,8 +216,8 @@ TEST_F(PartitionPruningTest, PartitionFactsSurviveRestart) {
     ERQ_ASSERT_OK(manager.init_status());
     ERQ_ASSERT_OK_AND_ASSIGN(
         QueryOutcome q1,
-        manager.Query(
-            "SELECT id FROM items WHERE price >= 500 AND price <= 600"));
+        manager.Execute(QueryRequest::Sql(
+            "SELECT id FROM items WHERE price >= 500 AND price <= 600")));
     ASSERT_EQ(q1.partition_aqps_recorded, 3u);
   }
 
@@ -222,8 +227,8 @@ TEST_F(PartitionPruningTest, PartitionFactsSurviveRestart) {
   ERQ_ASSERT_OK(manager.init_status());
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome q2,
-      manager.Query(
-          "SELECT id FROM items WHERE price >= 520 AND price <= 580"));
+      manager.Execute(QueryRequest::Sql(
+          "SELECT id FROM items WHERE price >= 520 AND price <= 580")));
   EXPECT_EQ(q2.result_rows, 23u);
   EXPECT_EQ(q2.partitions_pruned, 3u);
 }
@@ -259,8 +264,10 @@ TEST(PartitionTpcr, SelectiveQuerySkipsPartitionsWithIdenticalResults) {
   const std::string sql =
       "SELECT orderkey, totalprice FROM orders "
       "WHERE orderkey >= 100 AND orderkey < 160";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome with, part.Query(sql));
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome without, flat.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome with,
+                           part.Execute(QueryRequest::Sql(sql)));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome without,
+                           flat.Execute(QueryRequest::Sql(sql)));
 
   EXPECT_GT(with.partitions_pruned, 0u);
   EXPECT_EQ(without.partitions_pruned, 0u);

@@ -9,9 +9,7 @@
 #include "core/serialize.h"
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
-#include "mv/mv_cache.h"
 #include "persist/crc32.h"
-#include "persist/durable_mv.h"
 #include "persist/failpoint.h"
 #include "persist/io.h"
 #include "persist/journal.h"
@@ -314,7 +312,6 @@ TEST_F(PersistTest, MissingFilesRecoverEmpty) {
   ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
                            Persistence::Open(options));
   EXPECT_TRUE(p->recovered().parts.empty());
-  EXPECT_TRUE(p->recovered().mv_fingerprints.empty());
   EXPECT_EQ(p->recovered().truncated_bytes, 0u);
 }
 
@@ -618,53 +615,47 @@ TEST_F(PersistTest, ReplayIsIdempotent) {
   EXPECT_EQ(twice, once);
 }
 
-TEST_F(PersistTest, MvFingerprintsSurviveRestartInLruOrder) {
-  PersistOptions options;
-  options.dir = dir_;
-  // Drive the MV journal through Persistence directly (DurableMv calls
-  // these from its listener callbacks; mv_cache_test covers the listener
-  // firing itself).
-  {
-    ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
-                             Persistence::Open(options));
-    p->JournalMvStore("fp1");
-    p->JournalMvStore("fp2");
-    p->JournalMvStore("fp3");
-    p->JournalMvRemove("fp1");  // evicted
-  }
-  {
-    ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
-                             Persistence::Open(options));
-    std::vector<std::string> fps = p->recovered().mv_fingerprints;
-    ASSERT_EQ(fps.size(), 2u);
-    EXPECT_EQ(fps[0], "fp2");  // oldest first
-    EXPECT_EQ(fps[1], "fp3");
-    MvEmptyCache mv(10);
-    DurableMv durable(p.get(), &mv);
-    EXPECT_EQ(mv.size(), 2u);
-    std::vector<std::string> live = mv.Fingerprints();
-    ASSERT_EQ(live.size(), 2u);
-    EXPECT_EQ(live[0], "fp2");
-    EXPECT_EQ(live[1], "fp3");
-  }
-}
-
-TEST_F(PersistTest, MvClearIsDurable) {
+TEST_F(PersistTest, LegacyMvRecordsAreSkippedByRecovery) {
+  // Files written while the MV baseline was durable interleave its
+  // records (types 5-7) with C_aqp's. Recovery must step over them — not
+  // treat them as a torn tail — so every C_aqp record after them counts.
+  auto line = [](int64_t x) { return *SerializePart(PointPart(x)); };
+  ERQ_ASSERT_OK(CreateDirIfMissing(dir_));
+  ERQ_ASSERT_OK(WriteSnapshot(
+      dir_, {Record{RecordType::kCaqpInsert, line(1)},
+             Record{RecordType::kMvStore, "fp1"},
+             Record{RecordType::kCaqpInsert, line(2)},
+             Record{RecordType::kMvClear, ""},
+             Record{RecordType::kMvStore, "fp2"}}));
   PersistOptions options;
   options.dir = dir_;
   {
-    ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
-                             Persistence::Open(options));
-    p->JournalMvStore("fp1");
-    p->JournalMvClear();
-    p->JournalMvStore("fp2");
+    JournalWriter w;
+    ERQ_ASSERT_OK(w.Open(dir_, /*truncate=*/true, options));
+    ERQ_ASSERT_OK(w.Append(RecordType::kMvStore, "fp3"));
+    ERQ_ASSERT_OK(w.Append(RecordType::kCaqpInsert, line(3)));
+    ERQ_ASSERT_OK(w.Append(RecordType::kMvRemove, "fp1"));
+    ERQ_ASSERT_OK(w.Append(RecordType::kCaqpRemove, line(1)));
+    ERQ_ASSERT_OK(w.Append(RecordType::kMvClear, ""));
+    ERQ_ASSERT_OK(w.Append(RecordType::kCaqpInsert, line(4)));
   }
   {
     ERQ_ASSERT_OK_AND_ASSIGN(std::unique_ptr<Persistence> p,
                              Persistence::Open(options));
-    std::vector<std::string> fps = p->recovered().mv_fingerprints;
-    ASSERT_EQ(fps.size(), 1u);
-    EXPECT_EQ(fps[0], "fp2");
+    EXPECT_EQ(p->recovered().truncated_bytes, 0u);
+    EXPECT_EQ(p->recovered().snapshot_records, 5u);
+    EXPECT_EQ(p->recovered().journal_records, 6u);
+    EXPECT_EQ(SerializedSet(p->recovered().parts),
+              SerializedSet({PointPart(2), PointPart(3), PointPart(4)}));
+    // Attaching compacts: the fresh snapshot holds C_aqp records only.
+    CaqpCache cache(100);
+    ERQ_ASSERT_OK(p->AttachCaqp(&cache));
+    EXPECT_EQ(cache.size(), 3u);
+  }
+  ERQ_ASSERT_OK_AND_ASSIGN(SnapshotScan scan, ReadSnapshot(dir_));
+  ASSERT_EQ(scan.records.size(), 3u);
+  for (const Record& rec : scan.records) {
+    EXPECT_EQ(rec.type, RecordType::kCaqpInsert);
   }
 }
 

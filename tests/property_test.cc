@@ -10,6 +10,7 @@
 #include <random>
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "exec/executor.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -97,7 +98,7 @@ TEST_P(EndToEndPropertyTest, DetectedEmptyQueriesAreActuallyEmpty) {
       sql = "select * from t, u where t.x = u.z and " +
             RandomPredicateSql(rng, 2, /*include_u=*/true);
     }
-    auto outcome = manager.Query(sql);
+    auto outcome = manager.Execute(QueryRequest::Sql(sql));
     ASSERT_TRUE(outcome.ok()) << sql << " -> " << outcome.status();
     if (outcome->detected_empty) {
       ++detected;

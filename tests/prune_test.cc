@@ -2,6 +2,7 @@
 // are pruned so only the remaining branch executes.
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -21,7 +22,7 @@ class PruneTest : public ::testing::Test {
   }
 
   void Learn(const std::string& sql) {
-    auto outcome = manager_->Query(sql);
+    auto outcome = manager_->Execute(QueryRequest::Sql(sql));
     ASSERT_TRUE(outcome.ok());
     ASSERT_TRUE(outcome->result_empty) << sql;
   }
@@ -34,8 +35,9 @@ TEST_F(PruneTest, UnionWithEmptyLeftBranchPrunes) {
   Learn("select * from A where a > 100");
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query("select a from A where a > 100 "
-                      "union select d from B"));
+      manager_->Execute(QueryRequest::Sql(
+          "select a from A where a > 100 "
+          "union select d from B")));
   EXPECT_FALSE(outcome.detected_empty);
   EXPECT_TRUE(outcome.executed);
   EXPECT_EQ(outcome.branches_pruned, 1u);
@@ -52,7 +54,8 @@ TEST_F(PruneTest, UnionDistinctStillDeduplicates) {
   // the empty branch is pruned.
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query("select c from A union select d from B where d = 999"));
+      manager_->Execute(QueryRequest::Sql(
+          "select c from A union select d from B where d = 999")));
   EXPECT_EQ(outcome.branches_pruned, 1u);
   EXPECT_EQ(outcome.result_rows, 5u) << "UNION dedup must be preserved";
 }
@@ -61,8 +64,8 @@ TEST_F(PruneTest, UnionAllKeepsDuplicatesAfterPrune) {
   Learn("select * from B where d = 999");
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query(
-          "select c from A union all select d from B where d = 999"));
+      manager_->Execute(QueryRequest::Sql(
+          "select c from A union all select d from B where d = 999")));
   EXPECT_EQ(outcome.branches_pruned, 1u);
   EXPECT_EQ(outcome.result_rows, 10u);
 }
@@ -71,7 +74,8 @@ TEST_F(PruneTest, ExceptWithEmptyRightBranchPrunes) {
   Learn("select * from B where d = 999");
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query("select c from A except select d from B where d = 999"));
+      manager_->Execute(QueryRequest::Sql(
+          "select c from A except select d from B where d = 999")));
   EXPECT_EQ(outcome.branches_pruned, 1u);
   EXPECT_EQ(outcome.result_rows, 5u);  // EXCEPT dedups left
   ASSERT_NE(outcome.plan, nullptr);
@@ -82,8 +86,8 @@ TEST_F(PruneTest, ExceptAllWithEmptyRightKeepsMultiplicity) {
   Learn("select * from B where d = 999");
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query(
-          "select c from A except all select d from B where d = 999"));
+      manager_->Execute(QueryRequest::Sql(
+          "select c from A except all select d from B where d = 999")));
   EXPECT_EQ(outcome.branches_pruned, 1u);
   EXPECT_EQ(outcome.result_rows, 10u);
 }
@@ -91,7 +95,8 @@ TEST_F(PruneTest, ExceptAllWithEmptyRightKeepsMultiplicity) {
 TEST_F(PruneTest, NoPruningWithoutKnowledge) {
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query("select a from A where a > 100 union select d from B"));
+      manager_->Execute(QueryRequest::Sql(
+          "select a from A where a > 100 union select d from B")));
   EXPECT_EQ(outcome.branches_pruned, 0u);
   EXPECT_EQ(outcome.result_rows, 5u);
 }
@@ -107,8 +112,10 @@ TEST_F(PruneTest, PrunedResultMatchesUnprunedExecution) {
   Learn("select * from A where b = 135");
   std::string sql =
       "select a from A where b = 135 union select d from B where d < 3";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome pruned, manager_->Query(sql));
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome plain, baseline.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome pruned,
+                           manager_->Execute(QueryRequest::Sql(sql)));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome plain,
+                           baseline.Execute(QueryRequest::Sql(sql)));
   EXPECT_EQ(pruned.branches_pruned, 1u);
   EXPECT_EQ(Sorted(pruned.result.rows), Sorted(plain.result.rows));
 }
@@ -118,8 +125,9 @@ TEST_F(PruneTest, FullyEmptySetOpStillDetectedOutright) {
   Learn("select * from B where d = 999");
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query("select a from A where a > 100 "
-                      "union select d from B where d = 999"));
+      manager_->Execute(QueryRequest::Sql(
+          "select a from A where a > 100 "
+          "union select d from B where d = 999")));
   EXPECT_TRUE(outcome.detected_empty);
   EXPECT_FALSE(outcome.executed);
 }
@@ -130,9 +138,10 @@ TEST_F(PruneTest, NestedSetOpsPruneRecursively) {
   // ((empty UNION B) EXCEPT empty) -> Distinct(Distinct(B-scan)).
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query("select a from A where a > 100 "
-                      "union select d from B "
-                      "except select d from B where d = 999"));
+      manager_->Execute(QueryRequest::Sql(
+          "select a from A where a > 100 "
+          "union select d from B "
+          "except select d from B where d = 999")));
   EXPECT_EQ(outcome.branches_pruned, 2u);
   EXPECT_EQ(outcome.result_rows, 5u);
   EXPECT_EQ(manager_->stats_snapshot().branches_pruned, 2u);

@@ -1,12 +1,13 @@
 // Unit tests for the QueryRequest/QueryResponse API (core/query_api.h):
-// request validation, the Execute/ExecuteBatch entry points and their
-// legacy wrappers, row_limit truncation, the erq.response.v1 JSON
-// rendering (parsed back with our own JSON reader), and the
-// parts_checked-weighted batch check_seconds attribution.
+// request validation, the Execute/ExecuteBatch entry points, row_limit
+// truncation, the erq.response.v1 JSON rendering (parsed back with our
+// own JSON reader), and the parts_checked-weighted batch check_seconds
+// attribution.
 
 #include "core/query_api.h"
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.h"
@@ -36,19 +37,6 @@ TEST(QueryRequestTest, ValidateRejectsZeroAndMultipleForms) {
   EXPECT_TRUE(QueryRequest::Batch({"select * from A"}).Validate().ok());
 }
 
-TEST(QueryApiTest, ExecuteMatchesLegacyQueryWrapper) {
-  FixtureDb db;
-  EmptyResultManager manager(&db.catalog(), &db.stats(), CheckEverything());
-  ASSERT_TRUE(manager.init_status().ok());
-
-  const std::string sql = "select * from A where a < 15";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome via_execute,
-                           manager.Execute(QueryRequest::Sql(sql)));
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome via_query, manager.Query(sql));
-  EXPECT_EQ(via_execute.result_rows, via_query.result_rows);
-  EXPECT_EQ(via_execute.executed, via_query.executed);
-}
-
 TEST(QueryApiTest, ExecuteRejectsBatchForm) {
   FixtureDb db;
   EmptyResultManager manager(&db.catalog(), &db.stats(), CheckEverything());
@@ -67,8 +55,8 @@ TEST(QueryApiTest, ExecuteBatchRejectsSingleForm) {
 }
 
 TEST(QueryApiTest, EmptySqlStillReportsParseError) {
-  // Back-compat: Query("") has always surfaced the parser's error, not a
-  // request-validation error.
+  // Execute does not run Validate(): an empty SQL string reaches the
+  // parser and surfaces its error, not a request-validation error.
   FixtureDb db;
   EmptyResultManager manager(&db.catalog(), &db.stats(), CheckEverything());
   auto result = manager.Execute(QueryRequest::Sql(""));
@@ -113,8 +101,10 @@ TEST(QueryApiTest, BatchCheckSecondsWeightedByPartsChecked) {
   const std::string one_part_sql = "select * from A where a > 100";
   const std::string two_part_sql =
       "select * from A where a > 200 or b > 2000";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome seed1, manager.Query(one_part_sql));
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome seed2, manager.Query(two_part_sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome seed1,
+                           manager.Execute(QueryRequest::Sql(one_part_sql)));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome seed2,
+                           manager.Execute(QueryRequest::Sql(two_part_sql)));
   ASSERT_GT(seed1.aqps_recorded, 0u);
   ASSERT_GT(seed2.aqps_recorded, 0u);
 
@@ -173,6 +163,53 @@ TEST(QueryResponseTest, ToJsonRoundTripsThroughOurParser) {
   ASSERT_NE(doc.Find("plan"), nullptr);       // kFull carries the plan
   ASSERT_NE(doc.Find("empty_causes"), nullptr);
   EXPECT_GE(doc.Find("empty_causes")->Items().size(), 1u);
+}
+
+TEST(QueryResponseTest, EveryCounterReachesTheWire) {
+  // Each numeric QueryCounters field gets a distinct value through the
+  // visitor; the four bools are made true one at a time, so a swapped or
+  // dropped field shows up in some round.
+  for (size_t hot = 0; hot < 4; ++hot) {
+    SCOPED_TRACE("true bool #" + std::to_string(hot));
+    QueryOutcome outcome;
+    size_t fields = 0;
+    size_t bools = 0;
+    outcome.ForEachField([&](const char* /*name*/, auto& field) {
+      ++fields;
+      using T = std::decay_t<decltype(field)>;
+      if constexpr (std::is_same_v<T, bool>) {
+        field = bools++ == hot;
+      } else {
+        // 100, 200, ...; the double field keeps a fractional .5.
+        field = static_cast<T>(100.0 * static_cast<double>(fields) + 0.5);
+      }
+    });
+    ASSERT_EQ(fields, 14u);
+    ASSERT_EQ(bools, 4u);
+
+    const QueryResponse response =
+        QueryResponse::FromOutcome(outcome, QueryRequest::Sql("unused"));
+    ERQ_ASSERT_OK_AND_ASSIGN(JsonValue doc,
+                             JsonValue::Parse(response.ToJson()));
+    const JsonValue* wire = doc.Find("outcome");
+    ASSERT_NE(wire, nullptr);
+    // The 14 counters plus the response-only returned_rows and
+    // rows_truncated, each under its own key.
+    EXPECT_EQ(wire->Members().size(), 16u);
+    const QueryOutcome& expected = outcome;
+    expected.ForEachField([&](const char* name, const auto& field) {
+      SCOPED_TRACE(name);
+      const JsonValue* value = wire->Find(name);
+      ASSERT_NE(value, nullptr);
+      if constexpr (std::is_same_v<std::decay_t<decltype(field)>, bool>) {
+        ASSERT_TRUE(value->is_bool());
+        EXPECT_EQ(value->AsBool(), field);
+      } else {
+        ASSERT_TRUE(value->is_number());
+        EXPECT_EQ(value->AsDouble(), static_cast<double>(field));
+      }
+    });
+  }
 }
 
 TEST(QueryResponseTest, ErrorJsonCarriesSchemaAndStatusOnly) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "reuse/reuse_store.h"
 #include "test_util.h"
@@ -146,7 +147,7 @@ TEST(ReuseConcurrencyTest, ManagerQueriesRaceCatalogUpdates) {
         std::string sql = "select * from A where a >= " + std::to_string(lo) +
                           " and a <= " + std::to_string(lo + 3);
         std::shared_lock<std::shared_mutex> read_lock(table_mu);
-        if (!manager.Query(sql).ok()) {
+        if (!manager.Execute(QueryRequest::Sql(sql)).ok()) {
           errors.fetch_add(1, std::memory_order_relaxed);
         }
       }

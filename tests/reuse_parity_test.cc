@@ -11,6 +11,7 @@
 
 #include "catalog/catalog.h"
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "reuse/reuse_store.h"
 #include "test_util.h"
@@ -65,26 +66,30 @@ TEST(ReuseParityTest, SecondRunSplicesWithIdenticalResults) {
   ERQ_ASSERT_OK(baseline.init_status());
 
   const std::string sql = "select * from A where a >= 12 and a <= 16";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(first.executed);
   EXPECT_EQ(first.reused_subtrees, 0u) << "nothing to splice yet";
   EXPECT_GE(first.intermediates_harvested, 1u);
 
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_GE(second.reused_subtrees, 1u) << "second run must splice";
   EXPECT_GE(second.reuse_rows_served, second.result.rows.size());
 
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome flat, baseline.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome flat,
+                           baseline.Execute(QueryRequest::Sql(sql)));
   EXPECT_EQ(flat.reused_subtrees, 0u);
   ExpectSameRows(second, flat, sql);
 
   // A strictly narrower predicate is covered by the stored condition;
   // the residual filter must still apply the full probe predicate.
   const std::string narrower = "select * from A where a >= 13 and a <= 14";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome covered, manager.Query(narrower));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome covered,
+                           manager.Execute(QueryRequest::Sql(narrower)));
   EXPECT_GE(covered.reused_subtrees, 1u);
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome covered_flat,
-                           baseline.Query(narrower));
+                           baseline.Execute(QueryRequest::Sql(narrower)));
   ExpectSameRows(covered, covered_flat, narrower);
 }
 
@@ -112,9 +117,12 @@ TEST(ReuseParityTest, FixtureSweepIsByteIdentical) {
 
   size_t spliced = 0;
   for (const std::string& sql : queries) {
-    ERQ_ASSERT_OK(with.Query(sql).status());  // populate the store
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome hot, with.Query(sql));
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome flat, without.Query(sql));
+    // Populate the store.
+    ERQ_ASSERT_OK(with.Execute(QueryRequest::Sql(sql)).status());
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome hot,
+                             with.Execute(QueryRequest::Sql(sql)));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome flat,
+                             without.Execute(QueryRequest::Sql(sql)));
     ExpectSameRows(hot, flat, sql);
     spliced += hot.reused_subtrees;
   }
@@ -123,9 +131,11 @@ TEST(ReuseParityTest, FixtureSweepIsByteIdentical) {
   // A join whose filtered input was harvested: the spliced plan may pick
   // a different join order (cost estimates change), so compare row sets.
   const std::string join = "select a, e from A, B where c = d and a < 17";
-  ERQ_ASSERT_OK(with.Query(join).status());
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome hot_join, with.Query(join));
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome flat_join, without.Query(join));
+  ERQ_ASSERT_OK(with.Execute(QueryRequest::Sql(join)).status());
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome hot_join,
+                           with.Execute(QueryRequest::Sql(join)));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome flat_join,
+                           without.Execute(QueryRequest::Sql(join)));
   ExpectSameRowSet(hot_join, flat_join, join);
 }
 
@@ -135,26 +145,31 @@ TEST(ReuseParityTest, InsertInvalidatesBeforeNextRead) {
   ERQ_ASSERT_OK(manager.init_status());
 
   const std::string sql = "select * from A where a >= 15 and a <= 30";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome cold, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome cold,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_EQ(cold.result_rows, 5u);
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome hot, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome hot,
+                           manager.Execute(QueryRequest::Sql(sql)));
   ASSERT_GE(hot.reused_subtrees, 1u);
 
   // The new row lands inside the cached condition: serving the stale
   // intermediate would drop it. The catalog listener must evict first.
   ERQ_ASSERT_OK(db.catalog().AppendRows(
       "A", {{Value::Int(25), Value::Int(250), Value::Int(0)}}));
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome after, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome after,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_EQ(after.result_rows, 6u) << "stale intermediate served after insert";
   EXPECT_EQ(after.reused_subtrees, 0u) << "dependent entry must be evicted";
 
   // An irrelevant insert (provably failing the stored condition) keeps
   // the refreshed entry alive: the next run may splice again.
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome rewarm, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome rewarm,
+                           manager.Execute(QueryRequest::Sql(sql)));
   ASSERT_GE(rewarm.reused_subtrees, 1u);
   ERQ_ASSERT_OK(db.catalog().AppendRows(
       "A", {{Value::Int(500), Value::Int(0), Value::Int(0)}}));
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome still_hot, manager.Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome still_hot,
+                           manager.Execute(QueryRequest::Sql(sql)));
   EXPECT_GE(still_hot.reused_subtrees, 1u)
       << "irrelevant insert must not evict (update filter)";
   EXPECT_EQ(still_hot.result_rows, 6u);
@@ -204,9 +219,11 @@ TEST(ReuseParityTest, PartitionedItemsParity) {
     queries.push_back(buf);
   }
   for (const std::string& sql : queries) {
-    ERQ_ASSERT_OK(with.Query(sql).status());
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome hot, with.Query(sql));
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome flat, without.Query(sql));
+    ERQ_ASSERT_OK(with.Execute(QueryRequest::Sql(sql)).status());
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome hot,
+                             with.Execute(QueryRequest::Sql(sql)));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome flat,
+                             without.Execute(QueryRequest::Sql(sql)));
     ExpectSameRows(hot, flat, sql);
   }
 }
@@ -234,8 +251,10 @@ TEST(ReuseParityTest, TpcrTraceParity) {
   ASSERT_FALSE(trace.empty());
 
   for (const TraceQuery& q : trace) {
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome hot, with.Query(q.sql));
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome flat, without.Query(q.sql));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome hot,
+                             with.Execute(QueryRequest::Sql(q.sql)));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome flat,
+                             without.Execute(QueryRequest::Sql(q.sql)));
     ExpectSameRowSet(hot, flat, q.sql);
     if (q.expect_empty) {
       EXPECT_TRUE(hot.result_empty) << q.sql;

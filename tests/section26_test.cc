@@ -4,6 +4,7 @@
 // stored parts would be unsound (and therefore must not happen).
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -59,7 +60,7 @@ TEST(Section26Test, UnionRewritingIsDeliberatelyOutOfScope) {
        {"select * from T where a > 50 and a < 80 and b > 30 and b < 60",
         "select * from T where a > 60 and a < 90",
         "select * from T where a > 50 and a < 70 and b > 50 and b < 70"}) {
-    auto outcome = db.manager().Query(sql);
+    auto outcome = db.manager().Execute(QueryRequest::Sql(sql));
     ASSERT_TRUE(outcome.ok());
     ASSERT_TRUE(outcome->result_empty) << sql;
     ASSERT_TRUE(outcome->executed) << sql;
@@ -68,7 +69,7 @@ TEST(Section26Test, UnionRewritingIsDeliberatelyOutOfScope) {
   // carved-out union)...
   std::string q =
       "select * from T where a > 50 and a < 90 and b > 30 and b < 70";
-  auto first = db.manager().Query(q);
+  auto first = db.manager().Execute(QueryRequest::Sql(q));
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first->result_empty);
   // ...but our method could NOT deduce it from the three stored parts:
@@ -76,7 +77,7 @@ TEST(Section26Test, UnionRewritingIsDeliberatelyOutOfScope) {
   EXPECT_TRUE(first->executed)
       << "union-style rewriting is intentionally not implemented";
   // Q itself was harvested, so the repeat is detected.
-  auto second = db.manager().Query(q);
+  auto second = db.manager().Execute(QueryRequest::Sql(q));
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->detected_empty);
 }
@@ -137,19 +138,22 @@ TEST(Section26Test, ProjectionBlindnessBeatsMaterializedViews) {
   // pi over a join made empty by an impossible join value range.
   ERQ_ASSERT_OK(
       manager
-          .Query("select distinct A.b from A, B "
-                 "where A.c = B.d and B.d > 90")
+          .Execute(QueryRequest::Sql(
+              "select distinct A.b from A, B "
+              "where A.c = B.d and B.d > 90"))
           .status());
   // Q1-analogue: the unprojected join.
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome q1,
-      manager.Query("select * from A, B where A.c = B.d and B.d > 90"));
+      manager.Execute(QueryRequest::Sql(
+          "select * from A, B where A.c = B.d and B.d > 90")));
   EXPECT_TRUE(q1.detected_empty);
   // Q2-analogue: extra selection on a projected-out column.
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome q2,
-      manager.Query("select A.b from A, B "
-                    "where A.c = B.d and B.d > 90 and A.a = 12"));
+      manager.Execute(QueryRequest::Sql(
+          "select A.b from A, B "
+          "where A.c = B.d and B.d > 90 and A.a = 12")));
   EXPECT_TRUE(q2.detected_empty);
 }
 

@@ -340,6 +340,30 @@ TEST(ServerTest, ErrorPaths) {
   EXPECT_EQ(both.first, 400);
 }
 
+TEST(ServerTest, QueryBodyNeedsExactlyOneFormAndABoundedRowLimit) {
+  ServerFixture fx;
+  ERQ_ASSERT_OK(fx.start_status());
+  HttpRequest request = QueryRequestFor("select * from A");
+  auto expect_invalid = [&](const std::string& body) {
+    SCOPED_TRACE(body);
+    request.body = body;
+    ERQ_ASSERT_OK_AND_ASSIGN(auto result, Roundtrip(fx.port(), request));
+    EXPECT_EQ(result.first, 400);
+    EXPECT_EQ(result.second.Find("status")->Find("code")->AsString(),
+              "InvalidArgument");
+  };
+  expect_invalid("{\"row_limit\":5}");  // neither sql nor batch
+  expect_invalid(
+      "{\"sql\":\"select * from A\",\"batch\":[\"select * from A\"]}");
+  // Above 2^53 a JSON number no longer converts to an integer row count.
+  expect_invalid("{\"sql\":\"select * from A\",\"row_limit\":1e30}");
+
+  request.body = "{\"sql\":\"select * from A\",\"row_limit\":1000000}";
+  ERQ_ASSERT_OK_AND_ASSIGN(auto large, Roundtrip(fx.port(), request));
+  EXPECT_EQ(large.first, 200);
+  EXPECT_FALSE(large.second.Find("outcome")->Find("rows_truncated")->AsBool());
+}
+
 TEST(ServerTest, TenantLimitAnswers429) {
   ServerOptions options = SmallServer();
   options.max_tenants = 2;

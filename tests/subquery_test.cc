@@ -6,6 +6,7 @@
 #include <random>
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -129,11 +130,13 @@ class SubqueryDetectTest : public ::testing::Test {
 TEST_F(SubqueryDetectTest, RepeatDetectedWithoutExecution) {
   std::string sql =
       "select * from A where c in (select d from B where e = 123)";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first, manager_->Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
+                           manager_->Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
   EXPECT_GT(first.aqps_recorded, 0u);
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second, manager_->Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
+                           manager_->Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(second.detected_empty) << second.ToString();
 }
 
@@ -141,35 +144,40 @@ TEST_F(SubqueryDetectTest, SubqueryKnowledgeTransfersToPlainJoin) {
   // The semi join decomposes to the same atomic parts as the join, so
   // knowledge flows in both directions.
   ERQ_ASSERT_OK(
-      manager_->Query("select * from A, B where A.c = B.d and B.e = 123")
+      manager_->Execute(
+          QueryRequest::Sql("select * from A, B where A.c = B.d and B.e = 123"))
           .status());
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query(
-          "select * from A where c in (select d from B where e = 123)"));
+      manager_->Execute(QueryRequest::Sql(
+          "select * from A where c in (select d from B where e = 123)")));
   EXPECT_TRUE(outcome.detected_empty);
 }
 
 TEST_F(SubqueryDetectTest, JoinKnowledgeFromSubquery) {
   ERQ_ASSERT_OK(
       manager_
-          ->Query("select * from A where c in (select d from B where e = 123)")
+          ->Execute(QueryRequest::Sql(
+              "select * from A where c in (select d from B where e = 123)"))
           .status());
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query("select * from A, B where A.c = B.d and B.e = 123"));
+      manager_->Execute(QueryRequest::Sql(
+          "select * from A, B where A.c = B.d and B.e = 123")));
   EXPECT_TRUE(outcome.detected_empty);
 }
 
 TEST_F(SubqueryDetectTest, NarrowedOuterPredicateCovered) {
   ERQ_ASSERT_OK(
       manager_
-          ->Query("select * from A where c in (select d from B where e = 123)")
+          ->Execute(QueryRequest::Sql(
+              "select * from A where c in (select d from B where e = 123)"))
           .status());
   ERQ_ASSERT_OK_AND_ASSIGN(
       QueryOutcome outcome,
-      manager_->Query("select a from A where a = 12 and "
-                      "c in (select d from B where e = 123)"));
+      manager_->Execute(QueryRequest::Sql(
+          "select a from A where a = 12 and "
+          "c in (select d from B where e = 123)")));
   EXPECT_TRUE(outcome.detected_empty);
 }
 
@@ -178,7 +186,8 @@ TEST_F(SubqueryDetectTest, AliasCollisionFallsBackToExecution) {
   // (NotSupported), so the query executes — never an unsound detection.
   std::string sql =
       "select * from A where a in (select a from A where b = 135)";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first, manager_->Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
+                           manager_->Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
   // The inner selection (b = 135 over a single scan) has no collision and
@@ -187,18 +196,21 @@ TEST_F(SubqueryDetectTest, AliasCollisionFallsBackToExecution) {
   // The stored inner part covers the collided query via occurrence
   // remapping... except the whole-query part is never decomposed (the
   // collision makes it kNotSupported), so the repeat still executes.
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second, manager_->Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
+                           manager_->Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(second.executed);
 }
 
 TEST_F(SubqueryDetectTest, DistinctAliasesInBothScopesWork) {
   std::string sql =
       "select * from A x where x.a in (select y.a from A y where y.b = 135)";
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first, manager_->Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome first,
+                           manager_->Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(first.executed);
   EXPECT_TRUE(first.result_empty);
   EXPECT_GT(first.aqps_recorded, 0u);
-  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second, manager_->Query(sql));
+  ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome second,
+                           manager_->Execute(QueryRequest::Sql(sql)));
   EXPECT_TRUE(second.detected_empty);
 }
 
@@ -210,7 +222,8 @@ TEST_F(SubqueryDetectTest, NoFalsePositivesOnSubqueryStream) {
     std::string sql = "select * from A where a > " + std::to_string(lo + 5) +
                       " and c in (select d from B where e = " +
                       std::to_string(e) + ")";
-    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome, manager_->Query(sql));
+    ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
+                             manager_->Execute(QueryRequest::Sql(sql)));
     if (outcome.detected_empty) {
       ERQ_ASSERT_OK_AND_ASSIGN(PhysOpPtr plan, manager_->Prepare(sql));
       ERQ_ASSERT_OK_AND_ASSIGN(ExecutionResult forced, Executor::Run(plan));

@@ -3,6 +3,7 @@
 #include <random>
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -123,7 +124,9 @@ class FilteredManagerTest : public ::testing::Test {
 };
 
 TEST_F(FilteredManagerTest, IrrelevantInsertKeepsCache) {
-  ERQ_ASSERT_OK(manager_->Query("select * from A where a > 100").status());
+  ERQ_ASSERT_OK(
+      manager_->Execute(
+          QueryRequest::Sql("select * from A where a > 100")).status());
   ASSERT_EQ(manager_->detector().cache().size(), 1u);
   // Insert a row with a = 50: cannot satisfy a > 100.
   ERQ_ASSERT_OK(db_.catalog().AppendRows(
@@ -132,23 +135,29 @@ TEST_F(FilteredManagerTest, IrrelevantInsertKeepsCache) {
       << "irrelevant insert must not invalidate";
   // Detection still works — and is still correct.
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
-                           manager_->Query("select * from A where a > 100"));
+                           manager_->Execute(QueryRequest::Sql(
+                               "select * from A where a > 100")));
   EXPECT_TRUE(outcome.detected_empty);
 }
 
 TEST_F(FilteredManagerTest, RelevantInsertInvalidates) {
-  ERQ_ASSERT_OK(manager_->Query("select * from A where a > 100").status());
+  ERQ_ASSERT_OK(
+      manager_->Execute(
+          QueryRequest::Sql("select * from A where a > 100")).status());
   ERQ_ASSERT_OK(db_.catalog().AppendRows(
       "A", {{Value::Int(200), Value::Int(0), Value::Int(0)}}));
   EXPECT_EQ(manager_->detector().cache().size(), 0u);
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
-                           manager_->Query("select * from A where a > 100"));
+                           manager_->Execute(QueryRequest::Sql(
+                               "select * from A where a > 100")));
   EXPECT_TRUE(outcome.executed);
   EXPECT_EQ(outcome.result_rows, 1u);
 }
 
 TEST_F(FilteredManagerTest, DeletionsNeverInvalidate) {
-  ERQ_ASSERT_OK(manager_->Query("select * from A where a > 100").status());
+  ERQ_ASSERT_OK(
+      manager_->Execute(
+          QueryRequest::Sql("select * from A where a > 100")).status());
   ASSERT_EQ(manager_->detector().cache().size(), 1u);
   ERQ_ASSERT_OK_AND_ASSIGN(
       size_t removed,
@@ -158,28 +167,41 @@ TEST_F(FilteredManagerTest, DeletionsNeverInvalidate) {
   EXPECT_EQ(manager_->detector().cache().size(), 1u)
       << "deletions cannot un-empty a result";
   ERQ_ASSERT_OK_AND_ASSIGN(QueryOutcome outcome,
-                           manager_->Query("select * from A where a > 100"));
+                           manager_->Execute(QueryRequest::Sql(
+                               "select * from A where a > 100")));
   EXPECT_TRUE(outcome.detected_empty);
 }
 
 TEST_F(FilteredManagerTest, MixedBatchDropsOnlyAffectedParts) {
-  ERQ_ASSERT_OK(manager_->Query("select * from A where a > 100").status());
-  ERQ_ASSERT_OK(manager_->Query("select * from A where b = 55").status());
-  ERQ_ASSERT_OK(manager_->Query("select * from B where d = 99").status());
+  ERQ_ASSERT_OK(
+      manager_->Execute(
+          QueryRequest::Sql("select * from A where a > 100")).status());
+  ERQ_ASSERT_OK(
+      manager_->Execute(
+          QueryRequest::Sql("select * from A where b = 55")).status());
+  ERQ_ASSERT_OK(
+      manager_->Execute(
+          QueryRequest::Sql("select * from B where d = 99")).status());
   ASSERT_EQ(manager_->detector().cache().size(), 3u);
   // New A-row: a = 120 (hits "a > 100"), b = 0 (misses "b = 55").
   ERQ_ASSERT_OK(db_.catalog().AppendRows(
       "A", {{Value::Int(120), Value::Int(0), Value::Int(0)}}));
   EXPECT_EQ(manager_->detector().cache().size(), 2u);
   EXPECT_TRUE(
-      manager_->Query("select * from A where b = 55")->detected_empty);
+      manager_->Execute(
+          QueryRequest::Sql("select * from A where b = 55"))->detected_empty);
   EXPECT_TRUE(
-      manager_->Query("select * from B where d = 99")->detected_empty);
-  EXPECT_TRUE(manager_->Query("select * from A where a > 100")->executed);
+      manager_->Execute(
+          QueryRequest::Sql("select * from B where d = 99"))->detected_empty);
+  EXPECT_TRUE(
+      manager_->Execute(
+          QueryRequest::Sql("select * from A where a > 100"))->executed);
 }
 
 TEST_F(FilteredManagerTest, DropTableStillClearsItsParts) {
-  ERQ_ASSERT_OK(manager_->Query("select * from C where f = 99").status());
+  ERQ_ASSERT_OK(
+      manager_->Execute(
+          QueryRequest::Sql("select * from C where f = 99")).status());
   ASSERT_EQ(manager_->detector().cache().size(), 1u);
   ERQ_ASSERT_OK(db_.catalog().DropTable("C"));
   EXPECT_EQ(manager_->detector().cache().size(), 0u);
@@ -192,7 +214,7 @@ TEST_F(FilteredManagerTest, NoFalsePositivesAcrossUpdateStream) {
   for (int round = 0; round < 30; ++round) {
     int64_t v = static_cast<int64_t>(rng() % 400);
     std::string sql = "select * from A where a = " + std::to_string(v);
-    auto outcome = manager_->Query(sql);
+    auto outcome = manager_->Execute(QueryRequest::Sql(sql));
     ASSERT_TRUE(outcome.ok());
     if (outcome->detected_empty) {
       auto plan = manager_->Prepare(sql);

@@ -28,6 +28,7 @@
 #include <string>
 
 #include "core/manager.h"
+#include "core/query_api.h"
 #include "core/serialize.h"
 #include "persist/journal.h"
 #include "persist/persistence.h"
@@ -82,7 +83,7 @@ int ReusePreview() {
   };
   for (const char* sql : queries) {
     for (int pass = 0; pass < 2; ++pass) {  // harvest, then splice
-      StatusOr<QueryOutcome> outcome = manager.Query(sql);
+      StatusOr<QueryOutcome> outcome = manager.Execute(QueryRequest::Sql(sql));
       if (!outcome.ok()) {
         std::fprintf(stderr, "query failed: %s\n%s\n",
                      outcome.status().ToString().c_str(), sql);
@@ -136,12 +137,13 @@ const char* RecordTypeName(RecordType t) {
       return "caqp-remove";
     case RecordType::kCaqpClear:
       return "caqp-clear";
+    // Written by builds whose MV baseline was durable; recovery skips them.
     case RecordType::kMvStore:
-      return "mv-store";
+      return "legacy-mv-store (ignored)";
     case RecordType::kMvRemove:
-      return "mv-remove";
+      return "legacy-mv-remove (ignored)";
     case RecordType::kMvClear:
-      return "mv-clear";
+      return "legacy-mv-clear (ignored)";
     case RecordType::kSnapshotFooter:
       return "footer";
   }
@@ -223,8 +225,7 @@ int Main(int argc, char** argv) {
       ++problems;
     } else {
       const Persistence::RecoveredState& rec = (*p)->recovered();
-      std::printf("recovery: %zu C_aqp part(s), %zu MV fingerprint(s)\n",
-                  rec.parts.size(), rec.mv_fingerprints.size());
+      std::printf("recovery: %zu C_aqp part(s)\n", rec.parts.size());
       size_t unserializable = 0;
       for (const AtomicQueryPart& part : rec.parts) {
         if (!SerializePart(part).ok()) ++unserializable;

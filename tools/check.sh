@@ -17,6 +17,10 @@
 #   tools/check.sh server     # erq_server end-to-end smoke: start the
 #                             # binary, query/metrics/invalidate over
 #                             # HTTP, verify responses, clean shutdown
+#   tools/check.sh perfbench  # end-to-end benchmark smoke: 3 s of each
+#                             # gated perfbench workload (BENCHMARK.json);
+#                             # fails on a wrong answer or an unparsable
+#                             # response
 #   tools/check.sh bench      # opt-in: build benches + regenerate
 #                             # BENCH_caqp.json via tools/bench_json.sh
 #                             # (not part of the default job set)
@@ -346,6 +350,20 @@ PYEOF
   ok "server"
 }
 
+run_perfbench() {
+  # A short run of each gated perfbench workload. The binary exits nonzero
+  # when a read returns a wrong answer or a served erq.response.v1 body
+  # does not parse, so this guards results and the wire format; the
+  # numbers themselves are not judged here.
+  local workload
+  for workload in crm_replay served_hot; do
+    log "perfbench: $workload (3 s smoke)"
+    python3 perfbench/run.py --workload "$workload" --seconds 3 \
+      || { bad "perfbench ($workload)"; return 1; }
+  done
+  ok "perfbench"
+}
+
 run_bench() {
   # Opt-in perf snapshot: builds the bench targets and regenerates
   # BENCH_caqp.json. Honors BENCH_MIN_TIME (e.g. 0.01 for a smoke run).
@@ -385,7 +403,7 @@ main() {
   # bench is opt-in (perf snapshot, not a correctness gate). analyze runs
   # after plain so the compile_commands.json it needs already exists.
   [[ ${#jobs[@]} -eq 0 ]] && jobs=(plain release analyze asan tsan clang docs
-                                   server)
+                                   server perfbench)
   for job in "${jobs[@]}"; do
     case "$job" in
       plain)   run_plain ;;
@@ -397,9 +415,10 @@ main() {
       tidy)    run_tidy ;;
       docs)    run_docs ;;
       server)  run_server ;;
+      perfbench) run_perfbench ;;
       bench)   run_bench ;;
       *) echo "unknown job: $job" \
-            "(want plain|release|analyze|asan|tsan|clang|tidy|docs|server|bench;" \
+            "(want plain|release|analyze|asan|tsan|clang|tidy|docs|server|perfbench|bench;" \
             "--help for details)" >&2
          exit 2 ;;
     esac
