@@ -7,37 +7,42 @@
 
 namespace erq {
 
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
+std::string JsonQuote(std::string_view s) {
+  std::string out;
+  AppendJsonQuote(s, &out);
+  return out;
+}
+
+void AppendJsonQuote(std::string_view s, std::string* out) {
+  out->push_back('"');
   for (char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\");
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t");
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          const int n = std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out->append(buf, static_cast<size_t>(n));
         } else {
-          out += c;
+          out->push_back(c);
         }
     }
   }
-  out += '"';
-  return out;
+  out->push_back('"');
 }
 
 std::string JsonNumber(double v) {

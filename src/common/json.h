@@ -22,7 +22,10 @@ namespace erq {
 
 /// Renders `s` as a quoted JSON string, escaping quotes, backslashes, and
 /// control characters (the latter as \\u00XX).
-std::string JsonQuote(const std::string& s);
+std::string JsonQuote(std::string_view s);
+
+/// Appends JsonQuote(s) to `out` without building a temporary string.
+void AppendJsonQuote(std::string_view s, std::string* out);
 
 /// Shortest round-trippable JSON representation of a double. Integral
 /// values below 1e15 render without a fraction; non-finite values (which

@@ -10,34 +10,41 @@ namespace erq {
 
 namespace {
 
-/// JSON rendering of one scalar value: NULL -> null, numbers -> numbers,
-/// strings -> quoted raw text (no SQL quotes), dates -> "YYYY-MM-DD".
-std::string ValueToJson(const Value& v) {
-  switch (v.type()) {
-    case DataType::kNull:
-      return "null";
-    case DataType::kInt64:
-      return std::to_string(v.AsInt());
-    case DataType::kDouble:
-      return JsonNumber(v.AsDouble());
-    case DataType::kString:
-      return JsonQuote(v.AsString());
-    case DataType::kDate:
-      return JsonQuote(DateToString(v.AsDate()));
-  }
-  return "null";
-}
-
 /// Appends one QueryCounters field (or a response-only scalar) as JSON.
 void AppendJsonValue(bool v, std::string* out) {
   out->append(v ? "true" : "false");
 }
-void AppendJsonValue(size_t v, std::string* out) {
+template <typename Int>
+void AppendJsonInt(Int v, std::string* out) {
   char buf[24];
   const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
   out->append(buf, r.ptr);
 }
+void AppendJsonValue(size_t v, std::string* out) { AppendJsonInt(v, out); }
 void AppendJsonValue(double v, std::string* out) { AppendJsonNumber(v, out); }
+
+/// Appends one row value as JSON: NULL -> null, numbers -> numbers,
+/// strings -> quoted raw text (no SQL quotes), dates -> "YYYY-MM-DD".
+void AppendJsonValue(const Value& v, std::string* out) {
+  switch (v.type()) {
+    case DataType::kNull:
+      out->append("null");
+      return;
+    case DataType::kInt64:
+      AppendJsonInt(v.AsInt(), out);
+      return;
+    case DataType::kDouble:
+      AppendJsonNumber(v.AsDouble(), out);
+      return;
+    case DataType::kString:
+      AppendJsonQuote(v.AsString(), out);
+      return;
+    case DataType::kDate:
+      AppendJsonQuote(DateToString(v.AsDate()), out);
+      return;
+  }
+  out->append("null");
+}
 
 }  // namespace
 
@@ -114,11 +121,11 @@ QueryResponse QueryResponse::FromResult(const StatusOr<QueryOutcome>& result,
 
 std::string QueryResponse::ToJson() const {
   std::string out = "{\"schema\":";
-  out += JsonQuote(kSchema);
+  AppendJsonQuote(kSchema, &out);
   out += ",\"status\":{\"code\":";
-  out += JsonQuote(StatusCodeToString(status.code()));
+  AppendJsonQuote(StatusCodeToString(status.code()), &out);
   out += ",\"message\":";
-  out += JsonQuote(status.message());
+  AppendJsonQuote(status.message(), &out);
   out += "}";
   if (!status.ok()) {
     out += "}";
@@ -145,7 +152,7 @@ std::string QueryResponse::ToJson() const {
   out += "},\"columns\":[";
   for (size_t i = 0; i < columns.size(); ++i) {
     if (i > 0) out += ',';
-    out += JsonQuote(columns[i]);
+    AppendJsonQuote(columns[i], &out);
   }
   out += "],\"rows\":[";
   for (size_t r = 0; r < rows.size(); ++r) {
@@ -153,19 +160,20 @@ std::string QueryResponse::ToJson() const {
     out += '[';
     for (size_t c = 0; c < rows[r].size(); ++c) {
       if (c > 0) out += ',';
-      out += ValueToJson(rows[r][c]);
+      AppendJsonValue(rows[r][c], &out);
     }
     out += ']';
   }
   out += ']';
   if (!plan_text.empty()) {
-    out += ",\"plan\":" + JsonQuote(plan_text);
+    out += ",\"plan\":";
+    AppendJsonQuote(plan_text, &out);
   }
   if (!empty_causes.empty()) {
     out += ",\"empty_causes\":[";
     for (size_t i = 0; i < empty_causes.size(); ++i) {
       if (i > 0) out += ',';
-      out += JsonQuote(empty_causes[i]);
+      AppendJsonQuote(empty_causes[i], &out);
     }
     out += ']';
   }

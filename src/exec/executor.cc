@@ -8,6 +8,7 @@
 
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "expr/kernel.h"
 
 namespace erq {
 
@@ -134,11 +135,19 @@ StatusOr<std::vector<Row>> Drain(Iter* iter) {
 /// above would drop anyway. Per surviving partition it counts scanned
 /// rows and scan-condition matches; a scanned partition with zero matches
 /// is ground truth the detector records as a partition-tagged atomic
-/// query part.
+/// query part. A Filter above whose predicate is the probe itself reads
+/// the scan's verdict instead of evaluating it again (probe_verdict()).
 class TableScanIter : public Iter {
  public:
   TableScanIter(PhysicalOperator& op, const ExecOptions& options)
-      : Iter(op), options_(options) {}
+      : Iter(op), options_(options), probe_(op.partition_probe) {}
+
+  /// True when this Open() took the pruned path, which evaluates
+  /// partition_probe on every row it returns.
+  bool probes_rows() const { return partitioned_; }
+  /// Whether the last row returned passed partition_probe (only meaningful
+  /// when probes_rows()).
+  bool probe_verdict() const { return last_matched_; }
 
  protected:
   Status DoOpen() override {
@@ -190,18 +199,17 @@ class TableScanIter : public Iter {
     const Row& row = op_.table->row(row_ids_[i]);
     PartitionScanStat& stat = op_.partition_stats[stat_of_row_[i]];
     ++stat.rows;
-    if (op_.partition_probe != nullptr) {
-      ERQ_ASSIGN_OR_RETURN(bool pass,
-                           PredicatePasses(*op_.partition_probe, row));
-      if (pass) ++stat.matches;
-    } else {
-      ++stat.matches;
-    }
+    Status error;
+    last_matched_ = probe_.Passes(row, &error);
+    if (!error.ok()) return error;
+    if (last_matched_) ++stat.matches;
     return &row;
   }
 
  private:
   const ExecOptions& options_;
+  PredicateKernel probe_;  // partition_probe; empty passes every row
+  bool last_matched_ = false;
   std::shared_ptr<const PartitionSnapshot> snapshot_;
   bool partitioned_ = false;
   std::vector<size_t> row_ids_;      // ascending, pruned-path only
@@ -211,7 +219,8 @@ class TableScanIter : public Iter {
 
 class IndexScanIter : public Iter {
  public:
-  using Iter::Iter;
+  explicit IndexScanIter(PhysicalOperator& op)
+      : Iter(op), residual_(op.predicate) {}
 
  protected:
   Status DoOpen() override {
@@ -222,18 +231,17 @@ class IndexScanIter : public Iter {
   }
 
   StatusOr<const Row*> DoNext() override {
+    Status error;
     while (pos_ < row_ids_.size()) {
       const Row& row = op_.table->row(row_ids_[pos_++]);
-      if (op_.predicate) {
-        ERQ_ASSIGN_OR_RETURN(bool pass, PredicatePasses(*op_.predicate, row));
-        if (!pass) continue;
-      }
-      return &row;
+      if (residual_.Passes(row, &error)) return &row;
+      if (!error.ok()) return error;
     }
     return nullptr;
   }
 
  private:
+  PredicateKernel residual_;  // empty when there is no residual predicate
   std::vector<size_t> row_ids_;
   size_t pos_ = 0;
 };
@@ -264,10 +272,20 @@ class CachedResultScanIter : public Iter {
   size_t pos_ = 0;
 };
 
+/// Passes the rows its predicate holds TRUE on. Over a table scan whose
+/// partition_probe is this very predicate (every local conjunct was
+/// classified; see Optimizer::BuildAccessPath), the pruned scan already
+/// evaluated it on each row for partition_stats, so the filter reads that
+/// verdict: one evaluation per row feeds both.
 class FilterIter : public Iter {
  public:
   FilterIter(PhysicalOperator& op, IterPtr child)
-      : Iter(op), child_(std::move(child)) {}
+      : Iter(op), child_(std::move(child)), predicate_(op.predicate) {
+    if (op.children[0]->kind == PhysOpKind::kTableScan &&
+        op.children[0]->partition_probe == op.predicate) {
+      probing_scan_ = static_cast<const TableScanIter*>(child_.get());
+    }
+  }
 
   Row Take() override { return child_->Take(); }
 
@@ -275,16 +293,24 @@ class FilterIter : public Iter {
   Status DoOpen() override { return child_->Open(); }
 
   StatusOr<const Row*> DoNext() override {
+    Status error;
     while (true) {
       ERQ_ASSIGN_OR_RETURN(const Row* row, child_->Next());
       if (row == nullptr) return row;
-      ERQ_ASSIGN_OR_RETURN(bool pass, PredicatePasses(*op_.predicate, *row));
+      const bool pass =
+          probing_scan_ != nullptr && probing_scan_->probes_rows()
+              ? probing_scan_->probe_verdict()
+              : predicate_.Passes(*row, &error);
       if (pass) return row;
+      if (!error.ok()) return error;
     }
   }
 
  private:
   IterPtr child_;
+  PredicateKernel predicate_;
+  // child_, when its partition_probe is this predicate.
+  const TableScanIter* probing_scan_ = nullptr;
 };
 
 /// A Filter-over-TableScan that also buffers the rows it passes and, on
@@ -377,17 +403,13 @@ void ConcatInto(const Row& left, const Row& right, Row* out) {
   out->insert(out->end(), right.begin(), right.end());
 }
 
-/// Whether a concatenated join row satisfies the join's full (or
-/// residual) condition; no condition passes everything.
-StatusOr<bool> JoinPasses(const PhysicalOperator& op, const Row& combined) {
-  if (!op.join_condition) return true;
-  return PredicatePasses(*op.join_condition, combined);
-}
-
 class NestedLoopsJoinIter : public Iter {
  public:
   NestedLoopsJoinIter(PhysicalOperator& op, IterPtr left, IterPtr right)
-      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
+      : Iter(op),
+        left_(std::move(left)),
+        right_(std::move(right)),
+        condition_(op.join_condition) {}
 
   Row Take() override { return std::move(out_); }
 
@@ -401,6 +423,7 @@ class NestedLoopsJoinIter : public Iter {
   }
 
   StatusOr<const Row*> DoNext() override {
+    Status error;
     while (true) {
       if (current_left_ == nullptr) {
         ERQ_ASSIGN_OR_RETURN(current_left_, left_->Next());
@@ -409,8 +432,8 @@ class NestedLoopsJoinIter : public Iter {
       }
       while (right_pos_ < right_rows_.size()) {
         ConcatInto(*current_left_, right_rows_[right_pos_++], &out_);
-        ERQ_ASSIGN_OR_RETURN(bool pass, JoinPasses(op_, out_));
-        if (pass) return &out_;
+        if (condition_.Passes(out_, &error)) return &out_;
+        if (!error.ok()) return error;
       }
       current_left_ = nullptr;
     }
@@ -418,6 +441,7 @@ class NestedLoopsJoinIter : public Iter {
 
  private:
   IterPtr left_, right_;
+  PredicateKernel condition_;  // join_condition; empty passes every row
   std::vector<Row> right_rows_;
   const Row* current_left_ = nullptr;  // valid until left_->Next()
   size_t right_pos_ = 0;
@@ -441,7 +465,10 @@ StatusOr<bool> EvalKeys(const std::vector<ExprPtr>& keys, const Row& row,
 class HashJoinIter : public Iter {
  public:
   HashJoinIter(PhysicalOperator& op, IterPtr left, IterPtr right)
-      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
+      : Iter(op),
+        left_(std::move(left)),
+        right_(std::move(right)),
+        condition_(op.join_condition) {}
 
   Row Take() override { return std::move(out_); }
 
@@ -462,12 +489,13 @@ class HashJoinIter : public Iter {
   }
 
   StatusOr<const Row*> DoNext() override {
+    Status error;
     while (true) {
       if (matches_ != nullptr) {
         while (match_pos_ < matches_->size()) {
           ConcatInto(*current_left_, (*matches_)[match_pos_++], &out_);
-          ERQ_ASSIGN_OR_RETURN(bool pass, JoinPasses(op_, out_));
-          if (pass) return &out_;
+          if (condition_.Passes(out_, &error)) return &out_;
+          if (!error.ok()) return error;
         }
         matches_ = nullptr;
       }
@@ -485,6 +513,7 @@ class HashJoinIter : public Iter {
 
  private:
   IterPtr left_, right_;
+  PredicateKernel condition_;  // join_condition; empty passes every row
   std::unordered_map<Row, std::vector<Row>, RowHash> build_;
   const Row* current_left_ = nullptr;  // valid until left_->Next()
   Row probe_;                          // reused probe-key buffer
@@ -540,7 +569,10 @@ class SemiJoinIter : public Iter {
 class MergeJoinIter : public Iter {
  public:
   MergeJoinIter(PhysicalOperator& op, IterPtr left, IterPtr right)
-      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
+      : Iter(op),
+        left_(std::move(left)),
+        right_(std::move(right)),
+        condition_(op.join_condition) {}
 
   Row Take() override { return std::move(pending_[out_pos_ - 1]); }
 
@@ -585,12 +617,16 @@ class MergeJoinIter : public Iter {
                  0) {
         ++rj;
       }
+      Status error;
       for (size_t a = li_; a < lj; ++a) {
         for (size_t b = ri_; b < rj; ++b) {
           ConcatInto(left_sorted_[a].second, right_sorted_[b].second,
                      &combined_);
-          ERQ_ASSIGN_OR_RETURN(bool pass, JoinPasses(op_, combined_));
-          if (pass) pending_.push_back(combined_);
+          if (condition_.Passes(combined_, &error)) {
+            pending_.push_back(combined_);
+          } else if (!error.ok()) {
+            return error;
+          }
         }
       }
       li_ = lj;
@@ -627,6 +663,7 @@ class MergeJoinIter : public Iter {
   }
 
   IterPtr left_, right_;
+  PredicateKernel condition_;  // join_condition; empty passes every row
   std::vector<Keyed> left_sorted_, right_sorted_;
   size_t li_ = 0, ri_ = 0;
   Row combined_;  // scratch: rows failing the condition are never kept
@@ -637,7 +674,10 @@ class MergeJoinIter : public Iter {
 class LeftOuterJoinIter : public Iter {
  public:
   LeftOuterJoinIter(PhysicalOperator& op, IterPtr left, IterPtr right)
-      : Iter(op), left_(std::move(left)), right_(std::move(right)) {}
+      : Iter(op),
+        left_(std::move(left)),
+        right_(std::move(right)),
+        condition_(op.join_condition) {}
 
   Row Take() override { return std::move(pending_[out_pos_ - 1]); }
 
@@ -659,10 +699,13 @@ class LeftOuterJoinIter : public Iter {
       ERQ_ASSIGN_OR_RETURN(const Row* left_row, left_->Next());
       if (left_row == nullptr) return nullptr;
       bool matched = false;
+      Status error;
       for (const Row& r : right_rows_) {
         ConcatInto(*left_row, r, &combined_);
-        ERQ_ASSIGN_OR_RETURN(bool pass, JoinPasses(op_, combined_));
-        if (!pass) continue;
+        if (!condition_.Passes(combined_, &error)) {
+          if (!error.ok()) return error;
+          continue;
+        }
         matched = true;
         pending_.push_back(combined_);
       }
@@ -676,6 +719,7 @@ class LeftOuterJoinIter : public Iter {
 
  private:
   IterPtr left_, right_;
+  PredicateKernel condition_;  // join_condition; empty passes every row
   std::vector<Row> right_rows_;
   size_t right_width_ = 0;
   Row combined_;  // scratch: rows failing the condition are never kept

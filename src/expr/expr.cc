@@ -1,6 +1,7 @@
 #include "expr/expr.h"
 
 #include <cassert>
+#include <limits>
 
 #include "common/hash.h"
 #include "common/string_util.h"
@@ -366,6 +367,8 @@ TriBool NotTri(TriBool t) {
   return TriBool::kUnknown;
 }
 
+}  // namespace
+
 StatusOr<TriBool> CompareValues(CompareOp op, const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return TriBool::kUnknown;
   if (!a.ComparableWith(b)) {
@@ -397,8 +400,6 @@ StatusOr<TriBool> CompareValues(CompareOp op, const Value& a, const Value& b) {
   }
   return result ? TriBool::kTrue : TriBool::kFalse;
 }
-
-}  // namespace
 
 StatusOr<Value> EvalScalar(const Expr& expr, const Row& row) {
   switch (expr.kind()) {
@@ -442,11 +443,18 @@ StatusOr<Value> EvalScalar(const Expr& expr, const Row& row) {
         case ArithOp::kMul:
           return both_int ? Value::Int(lhs.AsInt() * rhs.AsInt())
                           : Value::Double(lhs.AsDouble() * rhs.AsDouble());
-        case ArithOp::kDiv:
+        case ArithOp::kDiv: {
           if (rhs.AsDouble() == 0.0) return Value::Null();
-          return both_int && lhs.AsInt() % rhs.AsInt() == 0
-                     ? Value::Int(lhs.AsInt() / rhs.AsInt())
-                     : Value::Double(lhs.AsDouble() / rhs.AsDouble());
+          // INT64_MIN / -1 overflows INT (and its % traps), so it is not
+          // exact either.
+          const bool exact =
+              both_int &&
+              !(lhs.AsInt() == std::numeric_limits<int64_t>::min() &&
+                rhs.AsInt() == -1) &&
+              lhs.AsInt() % rhs.AsInt() == 0;
+          return exact ? Value::Int(lhs.AsInt() / rhs.AsInt())
+                       : Value::Double(lhs.AsDouble() / rhs.AsDouble());
+        }
       }
       return Status::Internal("bad arith op");
     }

@@ -118,12 +118,19 @@ class Expr {
 /// SQL three-valued boolean: evaluation result of a predicate.
 enum class TriBool { kFalse = 0, kTrue = 1, kUnknown = 2 };
 
+/// Compares two values with SQL 3VL: a NULL operand gives UNKNOWN, and
+/// incomparable types (see TypesComparable) are a BindError.
+StatusOr<TriBool> CompareValues(CompareOp op, const Value& a, const Value& b);
+
 /// Evaluates a (bound) scalar expression against `row`. Arithmetic on NULL
 /// yields NULL; numeric overflow is not checked; division by zero yields
-/// NULL (engine policy, documented).
+/// NULL (engine policy, documented); an INT division that is not exact in
+/// INT (a remainder, or INT64_MIN / -1) yields a DOUBLE.
 StatusOr<Value> EvalScalar(const Expr& expr, const Row& row);
 
-/// Evaluates a (bound) predicate against `row` with SQL 3VL.
+/// Evaluates a (bound) predicate against `row` with SQL 3VL. This is the
+/// reference semantics; the executor evaluates predicates through
+/// PredicateKernel (expr/kernel.h), which must agree with it on every row.
 StatusOr<TriBool> EvalPredicate(const Expr& expr, const Row& row);
 
 /// Convenience: predicate passes iff it evaluates to TRUE.

@@ -385,6 +385,7 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
 
   PhysOpPtr scan;
   Layout scan_layout = ScanLayout(*table, alias);
+  size_t probe_size = 0;  // conjuncts in partition_probe, when set
   if (best_idx >= 0) {
     scan = PhysicalOperator::Make(PhysOpKind::kIndexScan);
     scan->table = table;
@@ -460,6 +461,7 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
       if (table->partitioned() && canonical_condition.size() > 0) {
         scan->scan_condition = std::move(canonical_condition);
         scan->has_scan_condition = true;
+        probe_size = probe_parts.size();
         ERQ_ASSIGN_OR_RETURN(
             scan->partition_probe,
             BindExpr(Expr::MakeAnd(std::move(probe_parts)), scan_layout));
@@ -485,9 +487,15 @@ StatusOr<PhysOpPtr> Optimizer::BuildAccessPath(
   // the executor records its output cardinality (Operation O2 needs the
   // selection operator's observed emptiness).
   PhysOpPtr filter = PhysicalOperator::Make(PhysOpKind::kFilter);
+  const bool probe_is_predicate =
+      scan->partition_probe != nullptr && probe_size == conjuncts.size();
   ExprPtr pred = Expr::MakeAnd(std::move(conjuncts));
   double sel = cost_model_.EstimateSelectivity(*pred, aliases);
   ERQ_ASSIGN_OR_RETURN(filter->predicate, BindExpr(pred, scan_layout));
+  // Every conjunct was classified, so the probe and the predicate are the
+  // same conjunction: share the node, and the executor evaluates it once
+  // per row for both the partition counts and the filter.
+  if (probe_is_predicate) scan->partition_probe = filter->predicate;
   filter->layout = scan_layout;
   filter->estimated_rows = std::max(0.0, scan->estimated_rows * sel);
   filter->estimated_cost =

@@ -265,6 +265,42 @@ TEST_F(PartitionedScanTest, PrunedScanCountsRowsAndMatchesPerPartition) {
   EXPECT_EQ(Actuals(*plan), "Project=5(Filter=5(TableScan=100))");
 }
 
+TEST_F(PartitionedScanTest, FilterReusesTheProbeOnlyWhenItIsThePredicate) {
+  // Every conjunct classifies: the scan's probe is the Filter's predicate
+  // node itself, evaluated once per row for both.
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      PhysOpPtr same,
+      Prepare("select id from items where id < 30 and price >= 200"));
+  const PhysicalOperator* filter = FindKind(*same, PhysOpKind::kFilter);
+  const PhysicalOperator* scan = FindKind(*same, PhysOpKind::kTableScan);
+  ASSERT_NE(filter, nullptr);
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(scan->partition_probe, filter->predicate);
+
+  // An unclassifiable conjunct stays out of the probe, which is then
+  // weaker than the predicate: the Filter evaluates its own, and matches
+  // count the probe alone (ids 25..29 match in partition 1 although the
+  // Filter drops 25 and 26).
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      PhysOpPtr weaker,
+      Prepare("select id from items where id < 30 and price * 2 >= id"));
+  filter = FindKind(*weaker, PhysOpKind::kFilter);
+  scan = FindKind(*weaker, PhysOpKind::kTableScan);
+  ASSERT_NE(filter, nullptr);
+  ASSERT_NE(scan, nullptr);
+  ASSERT_NE(scan->partition_probe, nullptr);
+  EXPECT_NE(scan->partition_probe, filter->predicate);
+  PartitionPruner pruner;
+  ExecOptions options;
+  options.pruner = &pruner;
+  ERQ_ASSERT_OK_AND_ASSIGN(ExecutionResult r, Executor::Run(weaker, options));
+  EXPECT_EQ(r.rows.size(), 28u);
+  EXPECT_EQ(Actuals(*weaker), "Project=28(Filter=28(TableScan=50))");
+  ASSERT_EQ(scan->partition_stats.size(), 2u);
+  EXPECT_EQ(scan->partition_stats[0].matches, 25u);
+  EXPECT_EQ(scan->partition_stats[1].matches, 5u);
+}
+
 TEST(ExecutorRowFlowTest, ReuseSpliceCountsCachedRows) {
   FixtureDb db;
   EmptyResultConfig config;

@@ -1,5 +1,8 @@
 #include "expr/expr.h"
 
+#include <cstdint>
+#include <limits>
+
 #include "expr/expr_builder.h"
 #include "gtest/gtest.h"
 
@@ -79,6 +82,25 @@ TEST(EvalTest, DivisionByZeroIsNull) {
   auto v = EvalScalar(*Div(Int(1), Int(0)), {});
   ASSERT_TRUE(v.ok());
   EXPECT_TRUE(v->is_null());
+}
+
+TEST(EvalTest, MinIntDividedByMinusOneIsADoubleNotATrap) {
+  // INT64_MIN / -1 overflows INT (and INT64_MIN % -1 traps on x86), so it
+  // takes the non-exact path like any other inexact INT division.
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  auto q = EvalScalar(*Div(Int(min), Int(-1)), {});
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(q->type(), DataType::kDouble);
+  EXPECT_EQ(q->AsDouble(), 9223372036854775808.0);
+  // Exact INT divisions by -1 stay INT.
+  auto exact = EvalScalar(*Div(Int(min + 1), Int(-1)), {});
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(exact->type(), DataType::kInt64);
+  EXPECT_EQ(exact->AsInt(), std::numeric_limits<int64_t>::max());
+  auto six = EvalScalar(*Div(Int(-6), Int(-1)), {});
+  ASSERT_TRUE(six.ok());
+  EXPECT_EQ(six->type(), DataType::kInt64);
+  EXPECT_EQ(six->AsInt(), 6);
 }
 
 TEST(EvalTest, NullPropagatesThroughArithmetic) {

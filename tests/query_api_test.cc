@@ -212,6 +212,42 @@ TEST(QueryResponseTest, EveryCounterReachesTheWire) {
   }
 }
 
+TEST(QueryResponseTest, ToJsonRendersEveryValueKindToFixedBytes) {
+  // One row of every value kind, plus names and texts that need escaping,
+  // pinned byte for byte: erq.response.v1 clients see exactly this.
+  QueryResponse response;
+  response.columns = {"n", "neg", "whole", "frac", "s\"q", "d"};
+  response.rows = {
+      {Value::Null(), Value::Int(-42), Value::Double(3.0),
+       Value::Double(-0.125), Value::String("a\"b\\c\x01\n\td"),
+       Value::Date(10957)},
+      {Value::Int(0), Value::Int(-9223372036854775807 - 1),
+       Value::Double(1e20), Value::Double(0.1), Value::String(""),
+       Value::Date(-1)},
+  };
+  response.rows_truncated = true;
+  response.plan_text = "Filter [(a < 1)]\n  TableScan A";
+  response.empty_causes = {"A: (a > 100)", "tab\there"};
+  EXPECT_EQ(
+      response.ToJson(),
+      "{\"schema\":\"erq.response.v1\",\"status\":{\"code\":\"OK\","
+      "\"message\":\"\"},\"outcome\":{\"returned_rows\":2,"
+      "\"rows_truncated\":true,\"detected_empty\":false,\"executed\":false,"
+      "\"result_empty\":false,\"high_cost\":false,\"result_rows\":0,"
+      "\"aqps_recorded\":0,\"branches_pruned\":0,\"partitions_scanned\":0,"
+      "\"partitions_pruned\":0,\"partition_aqps_recorded\":0,"
+      "\"reused_subtrees\":0,\"reuse_rows_served\":0,"
+      "\"intermediates_harvested\":0,\"estimated_cost\":0},"
+      "\"timings\":{\"parse_seconds\":0,\"plan_seconds\":0,"
+      "\"optimize_seconds\":0,\"gate_seconds\":0,\"check_seconds\":0,"
+      "\"execute_seconds\":0,\"record_seconds\":0,\"total_seconds\":0},"
+      "\"columns\":[\"n\",\"neg\",\"whole\",\"frac\",\"s\\\"q\",\"d\"],"
+      "\"rows\":[[null,-42,3,-0.125,\"a\\\"b\\\\c\\u0001\\n\\td\","
+      "\"2000-01-01\"],[0,-9223372036854775808,1e+20,0.10000000000000001,\"\","
+      "\"1969-12-31\"]],\"plan\":\"Filter [(a < 1)]\\n  TableScan A\","
+      "\"empty_causes\":[\"A: (a > 100)\",\"tab\\there\"]}");
+}
+
 TEST(QueryResponseTest, ErrorJsonCarriesSchemaAndStatusOnly) {
   const QueryResponse response =
       QueryResponse::FromStatus(Status::NotFound("nope"));

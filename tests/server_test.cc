@@ -340,6 +340,26 @@ TEST(ServerTest, ErrorPaths) {
   EXPECT_EQ(both.first, 400);
 }
 
+TEST(ServerTest, MinIntDividedByMinusOneIsAnsweredAndTheServerLives) {
+  // INT64_MIN % -1 raises SIGFPE, which would take the whole server down:
+  // evaluating INT64_MIN / -1 must never compute it.
+  ServerFixture fx;
+  ERQ_ASSERT_OK(fx.start_status());
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      auto overflow,
+      Roundtrip(fx.port(),
+                QueryRequestFor("select * from A where "
+                                "(-9223372036854775807 - 1) / -1 = a")));
+  EXPECT_EQ(overflow.first, 200);
+  EXPECT_EQ(overflow.second.Find("outcome")->Find("result_rows")->AsInt64(),
+            0);
+  ERQ_ASSERT_OK_AND_ASSIGN(
+      auto after,
+      Roundtrip(fx.port(), QueryRequestFor("select * from A where a = 10")));
+  EXPECT_EQ(after.first, 200);
+  EXPECT_EQ(after.second.Find("outcome")->Find("result_rows")->AsInt64(), 1);
+}
+
 TEST(ServerTest, QueryBodyNeedsExactlyOneFormAndABoundedRowLimit) {
   ServerFixture fx;
   ERQ_ASSERT_OK(fx.start_status());

@@ -20,7 +20,8 @@
 #   tools/check.sh perfbench  # end-to-end benchmark smoke: 3 s of each
 #                             # gated perfbench workload (BENCHMARK.json);
 #                             # fails on a wrong answer or an unparsable
-#                             # response
+#                             # response, then on allocation counts that
+#                             # do not repeat (run.py --selfcheck)
 #   tools/check.sh bench      # opt-in: build benches + regenerate
 #                             # BENCH_caqp.json via tools/bench_json.sh
 #                             # (not part of the default job set)
@@ -354,13 +355,18 @@ run_perfbench() {
   # A short run of each gated perfbench workload. The binary exits nonzero
   # when a read returns a wrong answer or a served erq.response.v1 body
   # does not parse, so this guards results and the wire format; the
-  # numbers themselves are not judged here.
+  # numbers themselves are not judged here. The self-check then fails
+  # unless crm_replay's and churn_reuse's allocation counts repeat exactly
+  # across two processes, which allocs_per_query comparisons rely on.
   local workload
   for workload in crm_replay served_hot; do
     log "perfbench: $workload (3 s smoke)"
     python3 perfbench/run.py --workload "$workload" --seconds 3 \
       || { bad "perfbench ($workload)"; return 1; }
   done
+  log "perfbench: allocation self-check"
+  python3 perfbench/run.py --selfcheck --seconds 2 \
+    || { bad "perfbench (selfcheck)"; return 1; }
   ok "perfbench"
 }
 
